@@ -3,22 +3,21 @@ GraphFlat (§3.2.1 step 3: *Storing*).
 
 The paper flattens each K-hop neighborhood to a protobuf string on a
 distributed filesystem. Protobuf is unavailable offline, so the
-flattened form here is a compact JSON string column stored in parquet
-on the local filesystem (substitution documented in DESIGN.md); the
-property that matters — a self-contained, batch-loadable record per
-target node — is preserved and round-trip tested.
+flattened form here is a compact binary record (a fixed header plus
+raw numpy buffers, :meth:`SubgraphRecord.to_bytes`) in a parquet
+column on the local filesystem (substitution documented in DESIGN.md);
+the property that matters — a self-contained, batch-loadable record
+per target node — is preserved and round-trip tested.
 
 :class:`SubgraphRecord` is the decoded in-memory form the trainer and
 the "Original" inference baseline consume (plain numpy arrays).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 GF_SCHEMA = T.StructType(
@@ -74,24 +73,6 @@ class SubgraphRecord:
     def n_edges(self) -> int:
         return int(self.e_src.shape[0])
 
-    def to_flat_string(self) -> str:
-        """Flatten to the storable string form (protobuf stand-in)."""
-        return json.dumps(
-            {
-                "root": int(self.root),
-                "label": [float(x) for x in self.label],
-                "nodes": [
-                    [int(i), int(d), [float(x) for x in f]]
-                    for i, d, f in zip(self.node_ids, self.dists, self.feats)
-                ],
-                "edges": [
-                    [int(s), int(t), float(w)]
-                    for s, t, w in zip(self.e_src, self.e_dst, self.e_w)
-                ],
-            },
-            separators=(",", ":"),
-        )
-
     def to_bytes(self) -> bytes:
         """Flatten to the compact binary storage form — the stand-in for
         the paper's protobuf string (decode is a few ``np.frombuffer``
@@ -145,25 +126,8 @@ class SubgraphRecord:
         )
 
     @classmethod
-    def from_flat_string(cls, s: str) -> "SubgraphRecord":
-        d = json.loads(s)
-        nodes = d["nodes"]
-        edges = d["edges"]
-        f_dim = len(nodes[0][2]) if nodes else 0
-        return cls(
-            root=d["root"],
-            label=np.array(d["label"], dtype=np.float64),
-            node_ids=np.array([n[0] for n in nodes], dtype=np.int64),
-            dists=np.array([n[1] for n in nodes], dtype=np.int64),
-            feats=np.array([n[2] for n in nodes], dtype=np.float64).reshape(len(nodes), f_dim),
-            e_src=np.array([e[0] for e in edges], dtype=np.int64),
-            e_dst=np.array([e[1] for e in edges], dtype=np.int64),
-            e_w=np.array([e[2] for e in edges], dtype=np.float64),
-        )
-
-    @classmethod
     def from_row(cls, row) -> "SubgraphRecord":
-        """Decode a GraphFlat output Row (GF_SCHEMA) without JSON."""
+        """Decode a GraphFlat output Row (GF_SCHEMA)."""
         nodes = row["nodes"]
         edges = row["edges"]
         nodes = [] if nodes is None else list(nodes)

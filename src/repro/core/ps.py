@@ -7,9 +7,9 @@ data-parallel — the paper's central claim. The PS maps onto Spark as:
 - **server** = the driver: holds the canonical parameters and the Adam
   state, applies updates.
 - **workers** = partitions of the GraphFeature RDD: each round they
-  receive the broadcast parameters, replay their partition through the
-  same :class:`~repro.core.trainer.GraphTrainer` vectorize/forward/
-  backward code, and emit summed gradients.
+  receive the broadcast parameters, replay their partition through a
+  :class:`~repro.core.trainer.GraphTrainer`'s ``vectorize`` and the
+  batch step every trainer shares, and emit summed gradients.
 - **synchronisation** = ``treeReduce`` of (grad-sum, loss-sum, count);
   one driver update per round (synchronous PS — the substitution for
   the paper's async PS is documented in DESIGN.md).
@@ -26,38 +26,31 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from ..nn.models import NEEDS_SELF_LOOPS
 from ..nn.optim import Adam
-from .graphfeature import SubgraphRecord
-from .trainer import TrainConfig
-from .vectorize import merge_batch
+from .trainer import GraphTrainer, TrainConfig, batch_step
 
 
-def _partition_gradients(gf_strings, cfg: TrainConfig, d_in: int, params):
+def _partition_gradients(gf_blobs, cfg: TrainConfig, d_in: int, params):
     """Worker body: full gradient of this partition at ``params``.
 
-    Rebuilds the model locally, accumulates grads over mini-batches of
-    ``cfg.batch_size`` records, and yields one (grads, loss·n, n) triple.
+    Builds a :class:`GraphTrainer` at ``params``, runs the shared batch
+    step over mini-batches of ``cfg.batch_size`` encoded records, and
+    yields one (grad·n, loss·n, n) triple, n = targets seen.
     """
-    records = [SubgraphRecord.from_bytes(s) for s in gf_strings]
-    if not records:
+    blobs = list(gf_blobs)
+    if not blobs:
         return
-    model = cfg.build_model(d_in)
-    model.set_params(params)
+    tr = GraphTrainer(cfg, d_in)
+    tr.model.set_params(params)
     grads: dict[str, np.ndarray] | None = None
     loss_sum, n = 0.0, 0
-    for i in range(0, len(records), cfg.batch_size):
-        batch = records[i : i + cfg.batch_size]
-        bg = merge_batch(batch)
-        adj = bg.adj_list(cfg.n_layers, self_loops=NEEDS_SELF_LOOPS[cfg.kind], pruning=cfg.pruning)
-        labels = bg.labels[:, 0].astype(np.int64) if cfg.task == "multiclass" else bg.labels
-        model.zero_grad()
-        loss, _ = model.loss_and_grad(bg.X, adj, bg.target_idx, labels)
-        # per-record gradient sum: batch loss is a mean over the batch
-        bgrads = {k: v * len(batch) for k, v in model.get_grads().items()}
+    for i in range(0, len(blobs), cfg.batch_size):
+        loss, b = batch_step(tr.model, *tr.vectorize(blobs[i : i + cfg.batch_size]))
+        # per-target gradient sum: batch loss is a mean over the batch
+        bgrads = {k: v * b for k, v in tr.model.get_grads().items()}
         grads = bgrads if grads is None else {k: grads[k] + bgrads[k] for k in grads}
-        loss_sum += loss * len(batch)
-        n += len(batch)
+        loss_sum += loss * b
+        n += b
     yield (grads, loss_sum, n)
 
 
@@ -81,10 +74,14 @@ def distributed_gradient(
     sc = gf.sparkSession.sparkContext
     bc = sc.broadcast(params)
     rdd = gf.select("gf").rdd.map(lambda r: r["gf"]).repartition(n_workers)
-    grads, loss_sum, n = rdd.mapPartitions(
-        lambda it: _partition_gradients(it, cfg, d_in, bc.value)
-    ).treeReduce(_merge)
-    bc.unpersist()
+    try:
+        grads, loss_sum, n = rdd.mapPartitions(
+            lambda it: _partition_gradients(it, cfg, d_in, bc.value)
+        ).treeReduce(_merge)
+    except ValueError as e:  # treeReduce raises it driver-side when no partition yielded
+        raise ValueError("distributed_gradient: the GraphFeature frame is empty") from e
+    finally:
+        bc.unpersist()
     return {k: v / n for k, v in grads.items()}, loss_sum / n
 
 

@@ -1,12 +1,15 @@
 """GraphTrainer — training over GraphFeatures (§3.3).
 
-Two trainers share the same numpy models:
+A GraphFeature batch is self-contained, so every trainer runs the same
+batch step, :func:`batch_step`: zero the grads, convert the labels with
+:func:`~repro.nn.models.task_labels`, then one forward+backward. Its
+callers differ only in where batches come from and who applies Adam:
 
 - :class:`GraphTrainer` — the AGL path: streams GraphFeature records
   (from memory or from the parquet the Storing phase wrote — AGL is
   disk-based, unlike the in-memory comparators), vectorizes batches,
-  and runs forward/backward with the three optimisation strategies
-  toggleable:
+  and steps Adam after each one, with the three optimisation
+  strategies toggleable:
 
   * ``pipeline``  — a prefetch thread reads + vectorizes batch i+1
     while the model computes on batch i (§3.3.2 "training pipeline").
@@ -14,26 +17,33 @@ Two trainers share the same numpy models:
   * ``partition`` — the fused destination-partitioned threaded
     aggregation kernel instead of buffered ``np.add.at``.
 
-- :func:`WholeGraphTrainer` — the in-memory comparator stand-ins:
-  ``dgl_sim`` trains full-batch on the whole in-memory graph with the
-  fused partitioned kernel (DGL's fused SpMM design); ``pyg_sim`` uses
-  the unfused buffered scatter *and* re-coalesces (re-sorts) the edge
-  list every forward pass, as PyG 1.3's generic message passing did.
+- the parameter-server workers (:mod:`repro.core.ps`): each builds a
+  GraphTrainer, vectorizes its partition's batches and sums their
+  gradients; the driver applies Adam.
+
+- :class:`WholeGraphTrainer` — the in-memory comparator stand-ins,
+  one full-batch step per epoch on the whole graph: ``dgl_sim`` runs
+  the fused partitioned kernel (DGL's fused SpMM design); ``pyg_sim``
+  runs the buffered ``np.add.at`` scatter *and* re-coalesces (re-sorts)
+  the edge list every forward pass, as PyG 1.3's generic message
+  passing did.
 """
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..nn.aggregators import Aggregator
 from ..nn.edges import Edges
-from ..nn.models import NEEDS_SELF_LOOPS, GNNModel
+from ..nn.models import NEEDS_SELF_LOOPS, GNNModel, task_labels
 from ..nn.optim import Adam
 from .graphfeature import SubgraphRecord
 from .vectorize import BatchGraph, merge_batch
+
+#: destination-disjoint edge partitions of the ``partition`` kernel
+N_PARTITIONS = 16
 
 
 @dataclass
@@ -53,7 +63,6 @@ class TrainConfig:
     pipeline: bool = True
     pruning: bool = False
     partition: bool = False
-    n_partitions: int = 16
 
     def build_model(self, d_in: int) -> GNNModel:
         m = GNNModel(
@@ -65,8 +74,18 @@ class TrainConfig:
 
     def aggregator(self) -> Aggregator:
         if self.partition:
-            return Aggregator("partitioned", n_partitions=self.n_partitions, threads=True)
+            return Aggregator("partitioned", n_partitions=N_PARTITIONS, threads=True)
         return Aggregator("add_at")
+
+
+def batch_step(model: GNNModel, bg: BatchGraph, adj: list[Edges]) -> tuple[float, int]:
+    """The batch → loss/gradient step every trainer shares: zero the
+    grads, convert labels, one forward+backward. Returns (mean loss over
+    the batch's targets, number of targets); the gradients are left in
+    ``model``."""
+    model.zero_grad()
+    loss, _ = model.loss_and_grad(bg.X, adj, bg.target_idx, task_labels(model.task, bg.labels))
+    return loss, len(bg.target_idx)
 
 
 # ---------------------------------------------------------------- sources
@@ -112,8 +131,8 @@ class ParquetSource:
 class GraphTrainer:
     """AGL's trainer: vectorize GraphFeature batches, run the model.
 
-    One instance owns the model and Adam state; workers in the PS
-    variant (:mod:`repro.core.ps`) replicate this logic per partition.
+    One instance owns the model and Adam state; each PS worker
+    (:mod:`repro.core.ps`) builds one to vectorize its partition.
     """
 
     def __init__(self, cfg: TrainConfig, d_in: int):
@@ -154,28 +173,21 @@ class GraphTrainer:
                 yield fut.result()
 
     def train_epoch(self, source, epoch: int = 0) -> float:
+        """One pass over ``source``; returns the target-weighted mean loss."""
         losses, counts = [], []
         for bg, adj in self._vectorized_batches(source, epoch):
-            self.model.zero_grad()
-            loss, _ = self.model.loss_and_grad(bg.X, adj, bg.target_idx, self._labels(bg))
+            loss, n = batch_step(self.model, bg, adj)
             self.opt.step(self.model.get_params(), self.model.get_grads())
             losses.append(loss)
-            counts.append(len(bg.target_idx))
+            counts.append(n)
+        if not counts:
+            raise ValueError(f"train_epoch: {type(source).__name__} yielded no batches")
         return float(np.average(losses, weights=counts))
-
-    def _labels(self, bg: BatchGraph) -> np.ndarray:
-        if self.cfg.task == "multiclass":
-            return bg.labels[:, 0].astype(np.int64)
-        return bg.labels
-
-    def predict(self, records: list[SubgraphRecord]) -> np.ndarray:
-        bg, adj = self.vectorize(records)
-        return self.model.forward(bg.X, adj, bg.target_idx)
 
     def evaluate(self, records: list[SubgraphRecord]) -> float:
         bg, adj = self.vectorize(records)
         logits = self.model.forward(bg.X, adj, bg.target_idx)
-        return self.model.metric_fn(logits, self._labels(bg))
+        return self.model.metric_fn(logits, task_labels(self.cfg.task, bg.labels))
 
 
 class WholeGraphTrainer:
@@ -190,19 +202,13 @@ class WholeGraphTrainer:
     """
 
     def __init__(self, cfg: TrainConfig, bg: BatchGraph, system: str = "dgl_sim"):
-        self.cfg, self.bg, self.system = cfg, bg, system
-        self.model = cfg.build_model(bg.X.shape[1])
-        if system == "dgl_sim":
-            self.model.set_aggregator(
-                Aggregator("partitioned", n_partitions=cfg.n_partitions, threads=True)
-            )
-        elif system == "pyg_sim":
-            self.model.set_aggregator(Aggregator("add_at"))
-        else:
+        if system not in ("dgl_sim", "pyg_sim"):
             raise ValueError(system)
+        self.cfg, self.bg, self.system = cfg, bg, system
+        self.model = replace(cfg, partition=(system == "dgl_sim")).build_model(bg.X.shape[1])
         self.opt = Adam(lr=cfg.lr)
-        self.self_loops = NEEDS_SELF_LOOPS[cfg.kind]
-        self._base = bg.edges_raw().with_self_loops() if self.self_loops else bg.edges_raw()
+        base = bg.edges_raw()
+        self._base = base.with_self_loops() if NEEDS_SELF_LOOPS[cfg.kind] else base
 
     def _adj(self) -> list[Edges]:
         e = self._base
@@ -211,19 +217,13 @@ class WholeGraphTrainer:
             e = Edges.from_arrays(e.src, e.dst, e.w, e.n_nodes)
         return [e] * self.cfg.n_layers
 
-    def _labels(self) -> np.ndarray:
-        if self.cfg.task == "multiclass":
-            return self.bg.labels[:, 0].astype(np.int64)
-        return self.bg.labels
-
     def train_epoch(self, epoch: int = 0) -> float:
-        self.model.zero_grad()
-        loss, _ = self.model.loss_and_grad(
-            self.bg.X, self._adj(), self.bg.target_idx, self._labels()
-        )
+        loss, _ = batch_step(self.model, self.bg, self._adj())
         self.opt.step(self.model.get_params(), self.model.get_grads())
         return loss
 
     def evaluate(self, target_idx: np.ndarray, labels: np.ndarray) -> float:
+        """Metric at ``target_idx``, whose ``[b, n_out]`` label matrix is
+        ``labels``."""
         logits = self.model.forward(self.bg.X, self._adj(), target_idx)
-        return self.model.metric_fn(logits, labels)
+        return self.model.metric_fn(logits, task_labels(self.cfg.task, labels))

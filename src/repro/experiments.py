@@ -112,14 +112,11 @@ _TASK_CFG = {
 }
 
 
-def _labels_for(ds: GraphDataset, ids: np.ndarray, task: str) -> np.ndarray:
-    Y = ds.label_matrix()[np.searchsorted(ds.nodes["id"].to_numpy(), ids)]
-    return Y[:, 0].astype(np.int64) if task == "multiclass" else Y
+def _label_matrix(ds: GraphDataset, ids: np.ndarray) -> np.ndarray:
+    return ds.label_matrix()[np.searchsorted(ds.nodes["id"].to_numpy(), ids)]
 
 
-def _whole_graph(ds: GraphDataset, target_ids: np.ndarray, task: str):
-    # keep labels 2-D here: the trainer's _labels() does task conversion
-    Y = ds.label_matrix()[np.searchsorted(ds.nodes["id"].to_numpy(), target_ids)]
+def _whole_graph(ds: GraphDataset, target_ids: np.ndarray):
     return whole_graph_batch(
         ds.nodes["id"].to_numpy(),
         ds.feat_matrix(),
@@ -127,7 +124,7 @@ def _whole_graph(ds: GraphDataset, target_ids: np.ndarray, task: str):
         ds.edges["dst"].to_numpy(),
         ds.edges["w"].to_numpy(),
         target_ids,
-        Y,
+        _label_matrix(ds, target_ids),
     )
 
 
@@ -175,13 +172,13 @@ def train_whole_graph(
 ) -> tuple[WholeGraphTrainer, float]:
     """The in-memory comparator path (PyG/DGL stand-ins), full-batch."""
     cfg = _cfg_for(ds_name, ds, kind, **cfg_kw)
-    bg = _whole_graph(ds, ds.split_ids("train"), cfg.task)
+    bg = _whole_graph(ds, ds.split_ids("train"))
     t = WholeGraphTrainer(cfg, bg, system=system)
     for e in range(epochs):
         t.train_epoch(e)
     test_ids = ds.split_ids("test")
     idx = np.searchsorted(bg.node_ids, test_ids)
-    return t, t.evaluate(idx, _labels_for(ds, test_ids, cfg.task))
+    return t, t.evaluate(idx, _label_matrix(ds, test_ids))
 
 
 def table3_run(spark: SparkSession, scale: str = "bench") -> list[dict]:
@@ -272,7 +269,7 @@ def make_table4_trainer(setup: Table4Setup, system: str, kind: str, n_layers: in
     cfg_kw = _TASK_CFG["ppi_lite"].copy()
     cfg = TrainConfig(kind=kind, n_layers=n_layers, lr=0.01, batch_size=512, seed=1, **cfg_kw)
     if system in ("pyg_sim", "dgl_sim"):
-        bg = _whole_graph(setup.ds, setup.ds.split_ids("train"), cfg.task)
+        bg = _whole_graph(setup.ds, setup.ds.split_ids("train"))
         t = WholeGraphTrainer(cfg, bg, system=system)
         return t, lambda epoch: t.train_epoch(epoch)
     flags = AGL_VARIANTS[system]

@@ -4,19 +4,18 @@ A GNN layer aggregates edge values into destination nodes
 (``out[dst[e]] += val[e]``). AGL's *edge partitioning* strategy sorts
 edges by destination so the adjacency splits into destination-disjoint
 partitions that threads can reduce without conflicts. We reproduce the
-CPU trade-off with three kernels:
+CPU trade-off with two kernels:
 
 - ``add_at``      — ``np.add.at`` buffered scatter: conflict-safe but
-                    slow (the "conventional framework" kernel; our
-                    DGL stand-in uses it).
+                    slow (the "conventional framework" kernel; the
+                    PyG stand-in and AGL without ``partition`` use it).
 - ``partitioned`` — destination-sorted segment reduction via
                     ``np.add.reduceat`` over ``t`` destination-disjoint
                     partitions, optionally on real threads. This is
-                    AGL's edge-partitioning kernel.
-- ``dense``       — materialise a dense |V|×|V| adjacency and matmul
-                    (the PyG-1.3 stand-in's aggregation path).
+                    AGL's edge-partitioning kernel; the DGL stand-in
+                    runs it threaded too.
 
-All kernels are exact (no approximation) and are property-tested
+Both kernels are exact (no approximation) and are property-tested
 against each other. Edge arrays are **assumed sorted by ``dst``** for
 ``partitioned`` — :mod:`repro.core.vectorize` guarantees this, exactly
 as the paper states ("Edges in the sparse matrix are sorted by their
@@ -82,7 +81,7 @@ class Aggregator:
 
     Parameters
     ----------
-    kind : {"add_at", "partitioned", "dense"}
+    kind : {"add_at", "partitioned"}
     n_partitions : number of destination-disjoint partitions for the
         ``partitioned`` kernel.
     threads : run partitions on a thread pool (real parallelism for the
@@ -107,12 +106,6 @@ class Aggregator:
         if self.kind == "add_at":
             np.add.at(out, dst, values)
             return out
-        if self.kind == "dense":
-            # One-hot destination matrix matmul — the dense path.
-            onehot = np.zeros((n_nodes, dst.shape[0]), dtype=values.dtype)
-            onehot[dst, np.arange(dst.shape[0])] = 1.0
-            res = onehot @ (values if values.ndim == 2 else values[:, None])
-            return res if values.ndim == 2 else res[:, 0]
         uniq, starts = segment_starts(dst)
 
         def reduce_span(lo: int, hi: int) -> None:
@@ -153,7 +146,7 @@ class Aggregator:
         m = gather_idx.shape[0]
         if m == 0:
             return out
-        if self.kind in ("add_at", "dense"):
+        if self.kind == "add_at":
             vals = M[gather_idx]
             if scale is not None:
                 vals = vals * scale[:, None]
@@ -185,7 +178,7 @@ class Aggregator:
         out = np.full(n_nodes, -np.inf, dtype=values.dtype)
         if values.shape[0] == 0:
             return out
-        if self.kind in ("add_at", "dense"):
+        if self.kind == "add_at":
             np.maximum.at(out, dst, values)
             return out
         uniq, starts = segment_starts(dst)

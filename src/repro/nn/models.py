@@ -23,6 +23,12 @@ TASKS = {
     "binary": (losses.logistic_loss, losses.auc, "auc"),
 }
 
+def task_labels(task: str, Y: np.ndarray) -> np.ndarray:
+    """Map a ``[b, n_out]`` label matrix to what ``TASKS[task]`` expects:
+    int class ids (column 0) for multiclass, the matrix itself otherwise."""
+    return Y[:, 0].astype(np.int64) if task == "multiclass" else Y
+
+
 #: whether each layer kind aggregates over self-loop-augmented edges
 NEEDS_SELF_LOOPS = {"gcn": True, "sage": False, "gat": True}
 

@@ -1,4 +1,4 @@
-"""Kernel equivalence: add_at ≡ partitioned ≡ dense, plus the
+"""Kernel equivalence: add_at ≡ partitioned, plus the
 destination-disjoint partition invariants of the edge-partitioning
 strategy (§3.3.2)."""
 from __future__ import annotations
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.nn.aggregators import Aggregator, edge_partitions, segment_starts
 
-KINDS = ["add_at", "partitioned", "dense"]
+KINDS = ["add_at", "partitioned"]
 
 
 def _sorted_edges(rng, n_nodes, m):

@@ -8,14 +8,10 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.graphflat import (
-    build_graph_features,
-    graphflat_message_passing,
-    khop_members,
-    subgraph_edges,
-)
+from repro.core.graphflat import build_graph_features, khop_members, subgraph_edges
 from repro.graphs.generators import uug_lite
 from repro.oracle import assert_equivalent
+from tests.graphflat_reference import graphflat_message_passing
 
 BFS_SQL = """
 WITH RECURSIVE walk(root, id, dist) AS (

@@ -72,3 +72,11 @@ def test_ps_converges_same_regardless_of_workers(spark, gf_strings):
 def test_partition_gradients_empty_partition_yields_nothing():
     cfg = _cfg()
     assert list(_partition_gradients(iter([]), cfg, 4, {})) == []
+
+
+def test_distributed_gradient_on_empty_frame_raises(spark, gf_strings):
+    ds, gf = gf_strings
+    cfg = _cfg()
+    params = cfg.build_model(ds.feat_dim).get_params()
+    with pytest.raises(ValueError, match="GraphFeature frame is empty"):
+        distributed_gradient(gf.limit(0), cfg, ds.feat_dim, params, 2)

@@ -46,6 +46,13 @@ def test_loss_decreases_over_epochs(uug_recs):
     assert losses[-1] < losses[0] * 0.9
 
 
+def test_train_epoch_on_empty_source_raises(uug_recs):
+    ds, _, _ = uug_recs
+    t = GraphTrainer(_cfg(), ds.feat_dim)
+    with pytest.raises(ValueError, match="MemorySource yielded no batches"):
+        t.train_epoch(MemorySource([], batch_size=16), 0)
+
+
 @pytest.mark.parametrize(
     "flags",
     [
