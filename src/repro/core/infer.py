@@ -1,22 +1,30 @@
 """GraphInfer — distributed slice-wise GNN inference (§3.4, Figure 5).
 
 A trained K-layer model is split into K+1 slices (hierarchical model
-segmentation). Inference is K+1 MapReduce rounds over the *whole*
-graph, expressed as DataFrame dataflow:
+segmentation). Inference runs over the *whole* graph, and each GNN
+round is one MapReduce job with the paper's merge–apply–propagate
+reducer, expressed as DataFrame dataflow:
 
-- Map (once): the node table becomes the layer-0 state (id, h = feat);
-  the edge table provides the out-edge routing.
-- Reduce round k ≤ K: ``edges ⋈ state`` ships each node's current
-  embedding along its out-edges (propagate); ``groupBy(dst)`` collects
-  every node's in-edge messages (merge, shuffle key = node id); a
-  pandas-batched worker loads slice k and computes the layer-k
-  embedding. Each embedding is computed exactly once — the property
-  that makes GraphInfer beat per-GraphFeature inference.
-- Round K+1: the prediction slice maps final embeddings to scores.
+- Map (once): one row table with columns ``(key, peer, w, kind, h)``.
+  *Self* rows carry a node's layer-0 embedding (``key`` = node);
+  *message* rows carry a sender's embedding to an in-edge destination
+  (``key`` = dst, ``peer`` = src; one ``edges ⋈ nodes`` join);
+  *out-edge* rows give each node its routing (``key`` = src,
+  ``peer`` = dst, null ``h``).
+- Reduce round k < K: ``repartition(key).sortWithinPartitions(key,
+  kind, peer)`` and one ``mapInArrow`` reducer, the only shuffle of the
+  round. The reducer merges each node's messages, applies slice k with
+  the training layer's forward, and propagates: it emits the node's
+  next self row plus one message per out-edge row. Each embedding is
+  computed exactly once — the property that makes GraphInfer beat
+  per-GraphFeature inference.
+- Round K+1: the prediction slice, fused into the last GNN reducer
+  (map-only); with no GNN slice it maps node features to scores.
 
 :func:`run_original_inference` is the paper's "Original" baseline
 (Table 5): full K-layer forward over every stored GraphFeature, which
-recomputes embeddings wherever neighborhoods overlap.
+recomputes embeddings wherever neighborhoods overlap. It uses the same
+Arrow encoding as GraphInfer, so Table 5 compares the algorithms.
 :func:`inference_cost_report` quantifies exactly that repetition.
 
 Sampling consistency: pass the *same* ``max_degree``/``strategy``/
@@ -28,10 +36,9 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+import pyarrow as pa
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from ..nn.edges import Edges
 from ..nn.models import layer_from_slice, slice_needs_self_loops
@@ -40,60 +47,139 @@ from .graphflat import khop_members
 from .sampling import sample_in_edges
 from .vectorize import merge_batch
 
-_STATE_SCHEMA = T.StructType(
-    [
-        T.StructField("id", T.LongType()),
-        T.StructField("h", T.ArrayType(T.DoubleType())),
-    ]
-)
+_ROW_SCHEMA = "key long, peer long, w double, kind tinyint, h array<double>"
+_SCORE_SCHEMA = "id long, score array<double>"
+#: row kinds of a round table; a key group sorts as self, messages, out-edges
+SELF, MSG, OUT = 0, 1, 2
 
 
-def _apply_slice_fn(spec: dict):
-    """Pandas-batched reducer for one GNN slice.
+def _list_column(M: np.ndarray) -> pa.ListArray:
+    """An ``[n, d]`` matrix as an Arrow ``list<double>`` column."""
+    n, d = M.shape
+    offsets = pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int32))
+    return pa.ListArray.from_arrays(offsets, pa.array(np.ascontiguousarray(M).ravel()))
 
-    Input rows: (dst, h_self, inbox=[(src, w, h_src), ...]). Builds a
-    local graph per Arrow batch — local ids [0, b) are the destination
-    nodes, senders occupy [b, b+m) — and reuses the exact training
-    layer forward, so inference is numerically identical to training.
+
+def _matrix(col: pa.ListArray) -> np.ndarray:
+    """The non-null rows of a ``list<double>`` column as one ``[n, d]`` matrix."""
+    n = len(col) - col.null_count
+    flat = col.flatten().to_numpy()
+    return flat.reshape(n, flat.size // n if n else 0)
+
+
+def _score_batch(ids: np.ndarray, scores: np.ndarray) -> pa.RecordBatch:
+    return pa.RecordBatch.from_arrays(
+        [pa.array(ids, pa.int64()), _list_column(scores)], names=["id", "score"]
+    )
+
+
+def _key_groups(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+    """Re-cut a key-sorted Arrow stream so no key group spans two
+    batches: each batch's trailing group is carried into the next."""
+    carry = None
+    for rb in batches:
+        if rb.num_rows == 0:
+            continue
+        if carry is not None:
+            rb = pa.Table.from_batches([carry, rb]).combine_chunks().to_batches()[0]
+        keys = rb.column("key").to_numpy()
+        cut = int(np.searchsorted(keys, keys[-1], side="left"))
+        if cut:
+            yield rb.slice(0, cut)
+        carry = rb.slice(cut)
+    if carry is not None:
+        yield carry
+
+
+def _locate(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` in the sorted, non-empty ``ids``, and which
+    keys exist."""
+    pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
+    return pos, ids[pos] == keys
+
+
+def _round_fn(spec: dict, head_spec: dict | None):
+    """The merge–apply–propagate reducer of one GNN round.
+
+    Per block of complete key groups: self rows are the destinations
+    (local ids ``[0, b)``), message rows the senders (``[b, b+m)``);
+    rows whose key has no self row (edges to or from a node missing
+    from the node table) are dropped. The training layer's forward
+    computes the new embeddings, so served scores keep the training
+    math. With ``head_spec`` the prediction slice is applied and
+    ``(id, score)`` emitted; otherwise the next round's self rows and
+    one message per out-edge row.
     """
 
-    def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def fn(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         layer = layer_from_slice(spec)
-        for pdf in batches:
-            b = len(pdf)
+        head = None if head_spec is None else layer_from_slice(head_spec)
+        loops = slice_needs_self_loops(spec)
+        for rb in _key_groups(batches):
+            key = rb.column("key").to_numpy()
+            kind = rb.column("kind").to_numpy()
+            w = rb.column("w").to_numpy(zero_copy_only=False)
+            is_self, is_msg, is_out = kind == SELF, kind == MSG, kind == OUT
+            ids = key[is_self]
+            b = ids.size
             if b == 0:
                 continue
-            h_self = np.array([np.asarray(h, dtype=np.float64) for h in pdf["h_self"]])
-            inboxes = pdf["inbox"]
-            srcs, dsts, ws, h_srcs = [], [], [], []
-            nxt = b
-            for i, inbox in enumerate(inboxes):
-                if inbox is None:
-                    continue
-                for entry in inbox:
-                    srcs.append(nxt)
-                    dsts.append(i)
-                    ws.append(entry["w"])
-                    h_srcs.append(np.asarray(entry["h_src"], dtype=np.float64))
-                    nxt += 1
-            X = np.concatenate([h_self, np.array(h_srcs).reshape(len(h_srcs), -1)]) if h_srcs else h_self
-            edges = Edges.from_arrays(
-                np.array(srcs, dtype=np.int64),
-                np.array(dsts, dtype=np.int64),
-                np.array(ws, dtype=np.float64),
-                X.shape[0],
+            H = _matrix(rb.column("h"))  # the self and message rows, in row order
+            has_h = ~is_out
+            dst, ok = _locate(ids, key[is_msg])
+            X = np.concatenate([H[is_self[has_h]], H[is_msg[has_h]][ok]])
+            src = np.arange(b, X.shape[0])
+            dst, w_in = dst[ok], w[is_msg][ok]
+            if loops:
+                own = np.arange(b)
+                src, dst = np.concatenate([src, own]), np.concatenate([dst, own])
+                w_in = np.concatenate([w_in, np.ones(b)])
+            Hn = layer.forward(X, Edges.from_arrays(src, dst, w_in, X.shape[0]))[:b]
+            if head is not None:
+                yield _score_batch(ids, head.forward(Hn))
+                continue
+            at, ok = _locate(ids, key[is_out])
+            at, to = at[ok], rb.column("peer").fill_null(0).to_numpy()[is_out][ok]
+            first = np.arange(b + to.size) < b  # self rows: null peer and w
+            yield pa.RecordBatch.from_arrays(
+                [
+                    pa.array(np.concatenate([ids, to])),
+                    pa.array(np.concatenate([ids, ids[at]]), mask=first),
+                    pa.array(np.concatenate([np.ones(b), w[is_out][ok]]), mask=first),
+                    pa.array(np.repeat(np.int8([SELF, MSG]), [b, to.size])),
+                    _list_column(np.concatenate([Hn, Hn[at]])),
+                ],
+                names=["key", "peer", "w", "kind", "h"],
             )
-            H = layer.forward(X, edges)[:b]
-            yield pd.DataFrame({"id": pdf["dst"], "h": list(H)})
 
     return fn
 
 
-def _with_self_edges(edges: DataFrame, nodes: DataFrame) -> DataFrame:
-    loops = nodes.select(
-        F.col("id").alias("src"), F.col("id").alias("dst"), F.lit(1.0).alias("w")
+def _head_fn(spec: dict):
+    """Map-only scoring of node features (a model with no GNN slice)."""
+
+    def fn(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        head = layer_from_slice(spec)
+        for rb in batches:
+            if rb.num_rows:
+                H = _matrix(rb.column("feat"))
+                yield _score_batch(rb.column("id").to_numpy(), head.forward(H))
+
+    return fn
+
+
+def _rows(
+    df: DataFrame, key: str, peer: str | None, w: str | None, kind: int, h: str | None
+) -> DataFrame:
+    """``df`` as round-table rows; a ``None`` column is null."""
+    col = lambda name: F.col(name) if name else F.lit(None)
+    return df.select(
+        F.col(key).alias("key"),
+        col(peer).cast("long").alias("peer"),
+        col(w).cast("double").alias("w"),
+        F.lit(kind).cast("tinyint").alias("kind"),
+        col(h).cast("array<double>").alias("h"),
     )
-    return edges.select("src", "dst", "w").unionByName(loops)
 
 
 def run_graph_infer(
@@ -113,36 +199,29 @@ def run_graph_infer(
     if max_degree is not None:
         edges = sample_in_edges(edges, max_degree, strategy=strategy, seed=seed)
     edges = edges.select("src", "dst", "w").cache()
-    state = nodes.select("id", F.col("feat").alias("h"))
     gnn_slices, pred_slice = slices[:-1], slices[-1]
-    for spec in gnn_slices:
-        e_k = _with_self_edges(edges, nodes) if slice_needs_self_loops(spec) else edges
-        msgs = e_k.join(
-            state.select(F.col("id").alias("src"), F.col("h").alias("h_src")), "src"
-        )
-        inbox = msgs.groupBy("dst").agg(
-            F.collect_list(F.struct("src", "w", "h_src")).alias("inbox")
-        )
-        staged = state.select(
-            F.col("id").alias("dst"), F.col("h").alias("h_self")
-        ).join(inbox, "dst", "left")
-        state = staged.mapInPandas(_apply_slice_fn(spec), schema=_STATE_SCHEMA)
-
-    def pred_fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        head = layer_from_slice(pred_slice)
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            H = np.array([np.asarray(h, dtype=np.float64) for h in pdf["h"]])
-            yield pd.DataFrame({"id": pdf["id"], "score": list(head.forward(H))})
-
-    score_schema = T.StructType(
-        [
-            T.StructField("id", T.LongType()),
-            T.StructField("score", T.ArrayType(T.DoubleType())),
-        ]
+    if not gnn_slices:
+        return nodes.select("id", "feat").mapInArrow(_head_fn(pred_slice), _SCORE_SCHEMA)
+    senders = nodes.select(F.col("id").alias("src"), "feat")
+    rows = _rows(nodes, "id", None, None, SELF, "feat").unionByName(
+        _rows(edges.join(senders, "src"), "dst", "src", "w", MSG, "feat")
     )
-    return state.mapInPandas(pred_fn, schema=score_schema)
+    out_edges = _rows(edges, "src", "dst", "w", OUT, None)
+    for k, spec in enumerate(gnn_slices):
+        last = k == len(gnn_slices) - 1
+        if not last:
+            rows = rows.unionByName(out_edges)
+        # peer fixes the order a node's messages are summed in, so the
+        # scores do not depend on how rows arrive from the shuffle
+        rows = (
+            rows.repartition("key")
+            .sortWithinPartitions("key", "kind", "peer")
+            .mapInArrow(
+                _round_fn(spec, pred_slice if last else None),
+                _SCORE_SCHEMA if last else _ROW_SCHEMA,
+            )
+        )
+    return rows
 
 
 def run_original_inference(
@@ -160,40 +239,38 @@ def run_original_inference(
     hence recover some reuse; results are identical either way."""
     needs_self = [slice_needs_self_loops(s) for s in slices[:-1]]
 
-    def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def fn(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         layers = [layer_from_slice(s) for s in slices[:-1]]
         head = layer_from_slice(slices[-1])
-        buf: list[SubgraphRecord] = []
 
-        def flush():
-            bg = merge_batch(buf)
+        def forward(recs: list[SubgraphRecord]) -> tuple[np.ndarray, np.ndarray]:
+            bg = merge_batch(recs)
             H = bg.X
             base_raw = bg.edges_raw()
             base_self = base_raw.with_self_loops()
             for lyr, self_l in zip(layers, needs_self):
                 H = lyr.forward(H, base_self if self_l else base_raw)
-            scores = head.forward(H[bg.target_idx])
-            out = pd.DataFrame(
-                {"id": bg.node_ids[bg.target_idx], "score": list(scores)}
-            )
-            buf.clear()
-            return out
+            return bg.node_ids[bg.target_idx], head.forward(H[bg.target_idx])
 
-        for pdf in batches:
-            for s in pdf["gf"]:
+        def emit(outs: list[tuple[np.ndarray, np.ndarray]]) -> pa.RecordBatch:
+            ids, scores = zip(*outs)
+            return _score_batch(np.concatenate(ids), np.concatenate(scores))
+
+        buf: list[SubgraphRecord] = []
+        outs: list[tuple[np.ndarray, np.ndarray]] = []
+        for rb in batches:
+            for s in rb.column("gf").to_pylist():
                 buf.append(SubgraphRecord.from_bytes(s))
                 if len(buf) >= batch_size:
-                    yield flush()
+                    outs.append(forward(buf))
+                    buf = []
+            if outs:
+                yield emit(outs)
+                outs = []
         if buf:
-            yield flush()
+            yield emit([forward(buf)])
 
-    score_schema = T.StructType(
-        [
-            T.StructField("id", T.LongType()),
-            T.StructField("score", T.ArrayType(T.DoubleType())),
-        ]
-    )
-    return gf_strings.mapInPandas(fn, schema=score_schema)
+    return gf_strings.mapInArrow(fn, _SCORE_SCHEMA)
 
 
 def inference_cost_report(

@@ -30,6 +30,8 @@ import numpy as np
 
 _POOL: ThreadPoolExecutor | None = None
 
+KINDS = ("add_at", "partitioned")
+
 
 def _pool() -> ThreadPoolExecutor:
     global _POOL
@@ -93,6 +95,10 @@ class Aggregator:
     kind: str = "partitioned"
     n_partitions: int = 8
     threads: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown aggregator kind {self.kind!r}; expected one of {KINDS}")
 
     def scatter_add(
         self, values: np.ndarray, dst: np.ndarray, n_nodes: int

@@ -19,6 +19,14 @@ def _sorted_edges(rng, n_nodes, m):
     return dst, vals
 
 
+@pytest.mark.parametrize("kind", ["dense", "Partitioned", ""])
+def test_unknown_kind_is_rejected(kind):
+    """An unknown kernel name fails when the aggregator is built instead
+    of silently running ``partitioned``."""
+    with pytest.raises(ValueError, match="aggregator kind"):
+        Aggregator(kind=kind)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("m,n", [(0, 5), (1, 1), (17, 5), (200, 13), (1000, 50)])
 def test_scatter_add_matches_reference(kind, m, n):

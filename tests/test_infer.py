@@ -3,6 +3,8 @@ GraphInfer ≡ Original(GraphFeature) ≡ local whole-graph forward, per
 model kind; sampling consistency; cost accounting."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -88,6 +90,66 @@ def test_original_inference_matches_graph_infer(spark, setup, tmp_path, kind):
         rtol=1e-8,
         atol=1e-8,
     )
+
+
+def _scores(df) -> np.ndarray:
+    got = df.toPandas().sort_values("id")
+    return np.array([s[0] for s in got["score"]])
+
+
+@pytest.mark.parametrize("partitions", [1, 7])
+@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
+def test_graph_infer_key_groups_span_arrow_batches(spark, setup, kind, partitions):
+    """With 7-row Arrow batches a node's rows (self + messages +
+    out-edges) span several batches, and the reducer must carry each
+    batch's trailing key group into the next; the result is also the
+    same for one shuffle partition or seven."""
+    ds, nodes_df, edges_df = setup
+    group_rows = 1 + ds.edges["dst"].value_counts() + ds.edges["src"].value_counts()
+    assert group_rows.max() > 7  # some key group is longer than a batch
+    model = _model(ds, kind)
+    confs = {
+        "spark.sql.execution.arrow.maxRecordsPerBatch": "7",
+        "spark.sql.shuffle.partitions": str(partitions),
+    }
+    saved = {k: spark.conf.get(k, None) for k in confs}
+    try:
+        for k, v in confs.items():
+            spark.conf.set(k, v)
+        got = _scores(run_graph_infer(nodes_df, edges_df, model.to_slices()))
+    finally:
+        for k, v in saved.items():
+            spark.conf.unset(k) if v is None else spark.conf.set(k, v)
+    np.testing.assert_allclose(got, _local_scores(ds, model, kind)[:, 0], rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("missing", ["src", "dst"])
+@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
+def test_graph_infer_ignores_edges_to_unknown_nodes(spark, setup, kind, missing):
+    """Edges whose src or dst is not in the node table change no score:
+    the result equals the forward over the graph without them."""
+    ds, nodes_df, _ = setup
+    ids = ds.nodes["id"].to_numpy()
+    ghosts = pd.DataFrame({missing: [-1, -2, -1], "w": [1.0, 2.0, 0.5]})
+    ghosts["dst" if missing == "src" else "src"] = ids[[0, 1, len(ids) - 1]]
+    edges = pd.concat([ds.edges, ghosts[["src", "dst", "w"]]], ignore_index=True)
+    edges_df = spark.createDataFrame(edges.astype({"src": "int64", "dst": "int64"}))
+    model = _model(ds, kind)
+    got = _scores(run_graph_infer(nodes_df, edges_df, model.to_slices()))
+    np.testing.assert_allclose(got, _local_scores(ds, model, kind)[:, 0], rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_graph_infer_plan_is_one_python_stage_per_round(spark, setup, k):
+    """K GNN slices run as exactly K Python stages — the prediction
+    slice is fused into the last one — with no aggregate: every round
+    is a single shuffle into a sorted reducer."""
+    ds, nodes_df, edges_df = setup
+    df = run_graph_infer(nodes_df, edges_df, _model(ds, "gcn", k=k).to_slices())
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    ops = re.findall(r"(?m)^[\s:|+-]*(\w+)", plan)
+    assert sum(bool(re.search("Python|InPandas|InArrow", op)) for op in ops) == k
+    assert not [op for op in ops if "Aggregate" in op]
 
 
 def test_1layer_model_infer(spark, setup):
