@@ -9,47 +9,22 @@ column on the local filesystem (substitution documented in DESIGN.md);
 the property that matters — a self-contained, batch-loadable record
 per target node — is preserved and round-trip tested.
 
-:class:`SubgraphRecord` is the decoded in-memory form the trainer and
-the "Original" inference baseline consume (plain numpy arrays).
+That record is the only GraphFeature form outside this module.
+:func:`encode_graph_features` turns GraphFlat's collected rows into
+``(root, gf: binary)``; :func:`store_graph_features` writes that frame
+to parquet, and the trainer, the PS workers, the "Original" inference
+baseline and :func:`collect_records` decode ``gf`` with
+:meth:`SubgraphRecord.from_bytes` into :class:`SubgraphRecord` (plain
+numpy arrays).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
-
-GF_SCHEMA = T.StructType(
-    [
-        T.StructField("root", T.LongType(), False),
-        T.StructField("label", T.ArrayType(T.DoubleType()), True),
-        T.StructField(
-            "nodes",
-            T.ArrayType(
-                T.StructType(
-                    [
-                        T.StructField("id", T.LongType()),
-                        T.StructField("dist", T.IntegerType()),
-                        T.StructField("feat", T.ArrayType(T.DoubleType())),
-                    ]
-                )
-            ),
-        ),
-        T.StructField(
-            "edges",
-            T.ArrayType(
-                T.StructType(
-                    [
-                        T.StructField("src", T.LongType()),
-                        T.StructField("dst", T.LongType()),
-                        T.StructField("w", T.DoubleType()),
-                    ]
-                )
-            ),
-        ),
-    ]
-)
 
 
 @dataclass
@@ -125,46 +100,57 @@ class SubgraphRecord:
             e_w=take(m, np.float64),
         )
 
-    @classmethod
-    def from_row(cls, row) -> "SubgraphRecord":
-        """Decode a GraphFlat output Row (GF_SCHEMA)."""
-        nodes = row["nodes"]
-        edges = row["edges"]
-        nodes = [] if nodes is None else list(nodes)
-        edges = [] if edges is None else list(edges)
-        f_dim = len(nodes[0]["feat"]) if nodes else 0
-        label = row["label"]
-        return cls(
-            root=row["root"],
-            label=np.array([] if label is None else list(label), dtype=np.float64),
-            node_ids=np.array([n["id"] for n in nodes], dtype=np.int64),
-            dists=np.array([n["dist"] for n in nodes], dtype=np.int64),
-            feats=np.array([n["feat"] for n in nodes], dtype=np.float64).reshape(len(nodes), f_dim),
-            e_src=np.array([e["src"] for e in edges], dtype=np.int64),
-            e_dst=np.array([e["dst"] for e in edges], dtype=np.int64),
-            e_w=np.array([e["w"] for e in edges], dtype=np.float64),
+
+def _encode(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+    """Collected GraphFlat rows → ``(root, gf)``, reading each nested
+    column through its Arrow list offsets (row ``i`` of a list column
+    is ``values[at[i]:at[i+1]]``; a null label is an empty segment).
+
+    An edge is kept only when both endpoints are among the record's
+    nodes: an endpoint with no node row has no features, and a
+    consumer would otherwise map it onto some other node."""
+    for rb in batches:
+        roots = rb.column("root").to_numpy()
+        label, nodes, edges = (rb.column(c) for c in ("label", "nodes", "edges"))
+        l_at, n_at, e_at = (c.offsets.to_numpy() for c in (label, nodes, edges))
+        lab = label.values.to_numpy()
+        ids, dists = (nodes.values.field(c).to_numpy() for c in ("id", "dist"))
+        feat = nodes.values.field("feat")
+        f_at, fv = feat.offsets.to_numpy(), feat.values.to_numpy()
+        src, dst, w = (edges.values.field(c).to_numpy() for c in ("src", "dst", "w"))
+        gf = []
+        for i, root in enumerate(roots):
+            a, b = n_at[i], n_at[i + 1]  # b > a: every record holds its root
+            e = slice(e_at[i], e_at[i + 1])
+            keep = np.isin(src[e], ids[a:b]) & np.isin(dst[e], ids[a:b])
+            rec = SubgraphRecord(
+                root=root,
+                label=lab[l_at[i] : l_at[i + 1]],
+                node_ids=ids[a:b],
+                dists=dists[a:b],
+                feats=fv[f_at[a] : f_at[b]].reshape(b - a, -1),
+                e_src=src[e][keep],
+                e_dst=dst[e][keep],
+                e_w=w[e][keep],
+            )
+            gf.append(rec.to_bytes())
+        yield pa.RecordBatch.from_arrays(
+            [pa.array(roots, pa.int64()), pa.array(gf, pa.binary())], names=["root", "gf"]
         )
 
 
+def encode_graph_features(flat: DataFrame) -> DataFrame:
+    """GraphFlat's collected ``(root, label, nodes: array<struct<id,dist,
+    feat>>, edges: array<struct<src,dst,w>>)`` rows as ``(root, gf:
+    binary)``, one :meth:`SubgraphRecord.to_bytes` record per root."""
+    return flat.mapInArrow(_encode, "root long, gf binary")
+
+
 def store_graph_features(gf: DataFrame, path: str) -> None:
-    """Flatten each GraphFeature to its binary string form and write
-    parquet — the pipeline's *Storing* phase (one flattened record per
-    target, the paper's protobuf-string analog)."""
-
-    def _flatten(iter_pdf):
-        import pandas as pd  # noqa: PLC0415 — runs on executors
-
-        for pdf in iter_pdf:
-            recs = [
-                SubgraphRecord.from_row(r).to_bytes()
-                for r in pdf.to_dict("records")
-            ]
-            yield pd.DataFrame({"root": pdf["root"], "gf": recs})
-
-    out_schema = T.StructType(
-        [T.StructField("root", T.LongType()), T.StructField("gf", T.BinaryType())]
-    )
-    gf.mapInPandas(_flatten, schema=out_schema).write.mode("overwrite").parquet(path)
+    """Write GraphFlat's ``(root, gf)`` records to parquet — the
+    pipeline's *Storing* phase (one flattened record per target, the
+    paper's protobuf-string analog)."""
+    gf.write.mode("overwrite").parquet(path)
 
 
 def load_graph_features(spark: SparkSession, path: str) -> DataFrame:
@@ -173,5 +159,5 @@ def load_graph_features(spark: SparkSession, path: str) -> DataFrame:
 
 
 def collect_records(gf: DataFrame) -> list[SubgraphRecord]:
-    """Materialise GraphFlat output as decoded records (driver side)."""
-    return [SubgraphRecord.from_row(r) for r in gf.collect()]
+    """Decode ``(root, gf)`` records on the driver."""
+    return [SubgraphRecord.from_bytes(r["gf"]) for r in gf.select("gf").collect()]

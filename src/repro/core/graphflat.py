@@ -3,8 +3,9 @@
 :func:`khop_members` + :func:`build_graph_features` are the
 root-anchored frontier formulation of the pipeline, pure DataFrame
 dataflow: K iterated ``join``/``groupBy`` rounds over (root, member)
-pairs, then one assembly pass that attaches features and collects each
-root's subgraph into a GraphFeature record. Tests assert the
+pairs, then one assembly pass that attaches features, collects each
+root's subgraph and encodes it as one GraphFeature record
+(:func:`~repro.core.graphfeature.encode_graph_features`). Tests assert the
 neighborhoods equal those of the paper's literal merge/propagate
 Map/Reduce rounds (kept in ``tests/graphflat_reference.py``) and of a
 DuckDB recursive-CTE BFS.
@@ -21,6 +22,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from .graphfeature import encode_graph_features
 from .sampling import sample_in_edges
 
 
@@ -68,11 +70,13 @@ def build_graph_features(
     seed: int = 0,
     reindex_threshold: int | None = None,
 ) -> DataFrame:
-    """The full GraphFlat pipeline → one GraphFeature row per target.
+    """The full GraphFlat pipeline → one GraphFeature record per target.
 
-    Output schema: root, label, nodes: array<struct<id,dist,feat>>,
-    edges: array<struct<src,dst,w>>. ``label`` comes from the node
-    table. Sampling (if ``max_degree``) is applied to the edge table
+    Output schema: ``root long, gf binary``, where ``gf`` is the
+    :meth:`~repro.core.graphfeature.SubgraphRecord.to_bytes` record:
+    members sorted by id, edges by (src, dst, w), ``label`` from the
+    node table. Edges with an endpoint missing from the node table are
+    dropped. Sampling (if ``max_degree``) is applied to the edge table
     once, up front, so training and inference see the same sampled
     graph (§3.4 "maintain the consistence of data processing").
     """
@@ -102,4 +106,4 @@ def build_graph_features(
         .withColumn("edges", F.coalesce("edges", F.array()))
         .join(nodes.select(F.col("id").alias("root"), "label"), "root")
     )
-    return out.select("root", "label", "nodes", "edges")
+    return encode_graph_features(out.select("root", "label", "nodes", "edges"))

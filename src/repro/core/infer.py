@@ -43,7 +43,7 @@ from pyspark.sql import functions as F
 from ..nn.edges import Edges
 from ..nn.models import layer_from_slice, slice_needs_self_loops
 from .graphfeature import SubgraphRecord
-from .graphflat import khop_members
+from .graphflat import khop_members, subgraph_edges
 from .sampling import sample_in_edges
 from .vectorize import merge_batch
 
@@ -225,50 +225,38 @@ def run_graph_infer(
 
 
 def run_original_inference(
-    gf_strings: DataFrame, slices: list[dict], *, n_layers: int, batch_size: int = 1
+    gf_strings: DataFrame, slices: list[dict], *, n_layers: int
 ) -> DataFrame:
     """The pre-GraphInfer baseline: independent full K-layer forward
     over each target's GraphFeature (overlapping neighborhoods are
     recomputed every time they appear).
 
-    ``batch_size=1`` is the strict per-GraphFeature semantics of the
-    paper's "Original" module — every subgraph is inferred in
+    One forward per record is the strict per-GraphFeature semantics of
+    the paper's "Original" module — every subgraph is inferred in
     isolation, so the repetition the paper criticises is fully paid
     (and matches :func:`inference_cost_report`'s Σ|V_v^k| proxy).
-    Larger batches merge subgraphs first (training-style batching) and
-    hence recover some reuse; results are identical either way."""
+    ``n_layers`` must be the number of GNN slices, ``len(slices) - 1``.
+    """
+    if n_layers != len(slices) - 1:
+        raise ValueError(f"n_layers={n_layers}, but slices hold {len(slices) - 1} GNN layers")
     needs_self = [slice_needs_self_loops(s) for s in slices[:-1]]
 
     def fn(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         layers = [layer_from_slice(s) for s in slices[:-1]]
         head = layer_from_slice(slices[-1])
-
-        def forward(recs: list[SubgraphRecord]) -> tuple[np.ndarray, np.ndarray]:
-            bg = merge_batch(recs)
-            H = bg.X
-            base_raw = bg.edges_raw()
-            base_self = base_raw.with_self_loops()
-            for lyr, self_l in zip(layers, needs_self):
-                H = lyr.forward(H, base_self if self_l else base_raw)
-            return bg.node_ids[bg.target_idx], head.forward(H[bg.target_idx])
-
-        def emit(outs: list[tuple[np.ndarray, np.ndarray]]) -> pa.RecordBatch:
-            ids, scores = zip(*outs)
-            return _score_batch(np.concatenate(ids), np.concatenate(scores))
-
-        buf: list[SubgraphRecord] = []
-        outs: list[tuple[np.ndarray, np.ndarray]] = []
         for rb in batches:
+            ids, scores = [], []
             for s in rb.column("gf").to_pylist():
-                buf.append(SubgraphRecord.from_bytes(s))
-                if len(buf) >= batch_size:
-                    outs.append(forward(buf))
-                    buf = []
-            if outs:
-                yield emit(outs)
-                outs = []
-        if buf:
-            yield emit([forward(buf)])
+                bg = merge_batch([SubgraphRecord.from_bytes(s)])
+                H = bg.X
+                base_raw = bg.edges_raw()
+                base_self = base_raw.with_self_loops()
+                for lyr, self_l in zip(layers, needs_self):
+                    H = lyr.forward(H, base_self if self_l else base_raw)
+                ids.append(bg.node_ids[bg.target_idx])
+                scores.append(head.forward(H[bg.target_idx]))
+            if ids:
+                yield _score_batch(np.concatenate(ids), np.concatenate(scores))
 
     return gf_strings.mapInArrow(fn, _SCORE_SCHEMA)
 
@@ -284,8 +272,7 @@ def inference_cost_report(
     """
     members = khop_members(edges, targets, k).cache()
     orig_nodes = members.count()
-    inner = members.filter(F.col("dist") <= k - 1).select("root", "id")
-    orig_edges = inner.join(edges, inner.id == edges.dst).count()
+    orig_edges = subgraph_edges(edges, members, k).count()
     members.unpersist()
     return {
         "original_node_computations": orig_nodes,

@@ -164,4 +164,4 @@ def layer_from_slice(spec: dict) -> Layer:
 
 
 def slice_needs_self_loops(spec: dict) -> bool:
-    return spec["kind"] != "sage"
+    return NEEDS_SELF_LOOPS[spec["kind"]]

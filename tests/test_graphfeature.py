@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.graphfeature import (
     SubgraphRecord,
+    _encode,
     collect_records,
     load_graph_features,
     store_graph_features,
@@ -78,6 +80,44 @@ def test_empty_edges_record_roundtrip():
     )
     r2 = SubgraphRecord.from_bytes(r.to_bytes())
     assert r2.n_edges == 0 and r2.n_nodes == 1
+
+
+def test_encode_reads_list_offsets_of_a_sliced_batch():
+    """The encoder reads each nested column through its own list
+    offsets, so a batch sliced out of a larger one (non-zero first
+    offset) and a null label encode the right rows."""
+    rows = [
+        (5, [1.0], [(5, 0, [0.0, 0.5])], [(5, 5, 9.0)]),
+        (7, [1.0], [(3, 1, [2.5, 3.5]), (7, 0, [0.5, 1.5]), (9, 2, [4.5, 5.5])],
+         [(3, 7, 1.0), (9, 3, 0.25), (-1, 7, 3.0)]),
+        (8, None, [(8, 0, [6.0, 7.0])], []),
+    ]
+    node_t = pa.struct([("id", pa.int64()), ("dist", pa.int32()), ("feat", pa.list_(pa.float64()))])
+    edge_t = pa.struct([("src", pa.int64()), ("dst", pa.int64()), ("w", pa.float64())])
+    rb = pa.RecordBatch.from_arrays(
+        [
+            pa.array([r[0] for r in rows], pa.int64()),
+            pa.array([r[1] for r in rows], pa.list_(pa.float64())),
+            pa.array([[dict(zip(("id", "dist", "feat"), n)) for n in r[2]] for r in rows],
+                     pa.list_(node_t)),
+            pa.array([[dict(zip(("src", "dst", "w"), e)) for e in r[3]] for r in rows],
+                     pa.list_(edge_t)),
+        ],
+        names=["root", "label", "nodes", "edges"],
+    )
+    (out,) = _encode(iter([rb.slice(1)]))
+    assert out.column("root").to_pylist() == [7, 8]
+    seven = SubgraphRecord(
+        root=7, label=np.array([1.0]), node_ids=np.array([3, 7, 9]), dists=np.array([1, 0, 2]),
+        feats=np.array([[2.5, 3.5], [0.5, 1.5], [4.5, 5.5]]),
+        e_src=np.array([3, 9]), e_dst=np.array([7, 3]), e_w=np.array([1.0, 0.25]),
+    )  # the edge from -1, which has no node, is dropped
+    eight = SubgraphRecord(
+        root=8, label=np.array([]), node_ids=np.array([8]), dists=np.array([0]),
+        feats=np.array([[6.0, 7.0]]), e_src=np.empty(0, np.int64),
+        e_dst=np.empty(0, np.int64), e_w=np.empty(0),
+    )
+    assert out.column("gf").to_pylist() == [seven.to_bytes(), eight.to_bytes()]
 
 
 def test_collect_records_decodes_rows(gf):

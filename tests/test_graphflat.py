@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.graphfeature import collect_records
 from repro.core.graphflat import build_graph_features, khop_members, subgraph_edges
 from repro.graphs.generators import uug_lite
 from repro.oracle import assert_equivalent
@@ -136,45 +137,45 @@ def gf_small(spark):
     nodes_df, edges_df = ds.to_spark(spark)
     targets = spark.createDataFrame(pd.DataFrame({"id": ds.split_ids("train")[:20]}))
     gf = build_graph_features(nodes_df, edges_df, targets, 2)
-    return ds, gf.collect()
+    return ds, collect_records(gf)
 
 
 def test_graph_features_one_row_per_target(gf_small):
-    ds, rows = gf_small
-    assert sorted(r["root"] for r in rows) == sorted(ds.split_ids("train")[:20])
+    ds, recs = gf_small
+    assert sorted(r.root for r in recs) == sorted(ds.split_ids("train")[:20])
 
 
 def test_graph_features_root_is_member_at_dist0(gf_small):
-    _, rows = gf_small
-    for r in rows:
-        d = {n["id"]: n["dist"] for n in r["nodes"]}
-        assert d[r["root"]] == 0
+    _, recs = gf_small
+    for r in recs:
+        d = dict(zip(r.node_ids.tolist(), r.dists.tolist()))
+        assert d[r.root] == 0
 
 
 def test_graph_features_edges_within_members(gf_small):
-    _, rows = gf_small
-    for r in rows:
-        ids = {n["id"] for n in r["nodes"]}
-        for e in r["edges"]:
-            assert e["src"] in ids and e["dst"] in ids
+    _, recs = gf_small
+    for r in recs:
+        ids = set(r.node_ids.tolist())
+        for src, dst in zip(r.e_src.tolist(), r.e_dst.tolist()):
+            assert src in ids and dst in ids
 
 
 def test_graph_features_label_and_feats_match_dataset(gf_small):
-    ds, rows = gf_small
+    ds, recs = gf_small
     X = ds.feat_matrix()
     Y = ds.label_matrix()
-    for r in rows[:5]:
-        np.testing.assert_allclose(np.array(r["label"]), Y[r["root"]])
-        for n in r["nodes"][:10]:
-            np.testing.assert_allclose(np.array(n["feat"]), X[n["id"]])
+    for r in recs[:5]:
+        np.testing.assert_allclose(r.label, Y[r.root])
+        for i, f in zip(r.node_ids[:10], r.feats[:10]):
+            np.testing.assert_allclose(f, X[i])
 
 
 def test_graph_features_edge_dist_rule(gf_small):
-    _, rows = gf_small
-    for r in rows:
-        d = {n["id"]: n["dist"] for n in r["nodes"]}
-        for e in r["edges"]:
-            assert d[e["dst"]] <= 1  # k=2 ⇒ edges only into dist ≤ 1 nodes
+    _, recs = gf_small
+    for r in recs:
+        d = dict(zip(r.node_ids.tolist(), r.dists.tolist()))
+        for dst in r.e_dst.tolist():
+            assert d[dst] <= 1  # k=2 ⇒ edges only into dist ≤ 1 nodes
 
 
 def test_targets_without_inedges_still_emitted(spark):
@@ -187,5 +188,28 @@ def test_targets_without_inedges_still_emitted(spark):
     nd = spark.createDataFrame(nodes, schema=NODE_SCHEMA)
     ed = spark.createDataFrame(edges, schema=EDGE_SCHEMA)
     t = spark.createDataFrame(pd.DataFrame({"id": [0]}))
-    rows = build_graph_features(nd, ed, t, 2).collect()
-    assert len(rows) == 1 and rows[0]["edges"] == []
+    recs = collect_records(build_graph_features(nd, ed, t, 2))
+    assert len(recs) == 1 and recs[0].n_edges == 0
+
+
+def test_graph_features_independent_of_partitioning(spark):
+    """Each root's stored bytes are the same for 1 or 7 shuffle
+    partitions, and with 3-row Arrow batches, so the encoder reads the
+    nested columns' list offsets correctly across batch boundaries."""
+    ds = uug_lite(n=150, seed=15)
+    nodes_df, edges_df = ds.to_spark(spark)
+    targets = spark.createDataFrame(pd.DataFrame({"id": ds.split_ids("train")[:40]}))
+    confs = {"spark.sql.execution.arrow.maxRecordsPerBatch": "3"}
+    saved = {k: spark.conf.get(k, None) for k in (*confs, "spark.sql.shuffle.partitions")}
+    got = []
+    try:
+        for partitions in (1, 7):
+            for k, v in {**confs, "spark.sql.shuffle.partitions": str(partitions)}.items():
+                spark.conf.set(k, v)
+            gf = build_graph_features(nodes_df, edges_df, targets, 2, max_degree=4, seed=3)
+            got.append({r["root"]: bytes(r["gf"]) for r in gf.collect()})
+    finally:
+        for k, v in saved.items():
+            spark.conf.unset(k) if v is None else spark.conf.set(k, v)
+    assert len(got[0]) == 40
+    assert got[0] == got[1]

@@ -18,7 +18,7 @@ from repro.core.infer import (
 )
 from repro.core.sampling import sample_in_edges
 from repro.core.vectorize import whole_graph_batch
-from repro.graphs.generators import uug_lite
+from repro.graphs.generators import EDGE_SCHEMA, NODE_SCHEMA, uug_lite
 from repro.nn.models import NEEDS_SELF_LOOPS, GNNModel, layer_from_slice
 
 
@@ -137,6 +137,40 @@ def test_graph_infer_ignores_edges_to_unknown_nodes(spark, setup, kind, missing)
     model = _model(ds, kind)
     got = _scores(run_graph_infer(nodes_df, edges_df, model.to_slices()))
     np.testing.assert_allclose(got, _local_scores(ds, model, kind)[:, 0], rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("ghosts", [[-1, -2], [99, 98]])
+def test_original_ignores_edges_from_unknown_nodes(spark, tmp_path, ghosts):
+    """Edges from nodes missing from the node table are left out of the
+    stored GraphFeatures, so Original, GraphInfer and the graph without
+    those edges give the same scores."""
+    rng = np.random.default_rng(5)
+    nodes = pd.DataFrame({
+        "id": np.arange(6), "feat": rng.normal(size=(6, 3)).tolist(),
+        "label": [[0.0]] * 6, "split": ["train"] * 6,
+    })
+    clean = pd.DataFrame({"src": [2, 3, 4, 5, 0, 1], "dst": [0, 0, 1, 2, 3, 4], "w": 1.0})
+    dirty = pd.concat(
+        [clean, pd.DataFrame({"src": ghosts, "dst": [0, 1], "w": 1.0})], ignore_index=True
+    )
+    nodes_df = spark.createDataFrame(nodes, schema=NODE_SCHEMA)
+    clean_df, dirty_df = (spark.createDataFrame(e, schema=EDGE_SCHEMA) for e in (clean, dirty))
+    slices = GNNModel("gat", 3, 4, 1, 2, "binary", seed=2).to_slices()
+    path = str(tmp_path / "gf")
+    store_graph_features(build_graph_features(nodes_df, dirty_df, nodes_df.select("id"), 2), path)
+    want = _scores(run_graph_infer(nodes_df, clean_df, slices))
+    orig = _scores(run_original_inference(load_graph_features(spark, path), slices, n_layers=2))
+    np.testing.assert_allclose(orig, want, rtol=1e-8, atol=1e-8)
+    gi = _scores(run_graph_infer(nodes_df, dirty_df, slices))
+    np.testing.assert_allclose(gi, want, rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_original_rejects_n_layers_not_matching_slices(spark, setup, n_layers):
+    ds, _, _ = setup
+    gf = spark.createDataFrame([], "root long, gf binary")
+    with pytest.raises(ValueError, match="n_layers"):
+        run_original_inference(gf, _model(ds, "gcn").to_slices(), n_layers=n_layers)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
