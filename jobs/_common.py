@@ -17,7 +17,8 @@ def driver_memory() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. The test suite and the table jobs both size
+    limit > half of /proc/meminfo's MemTotal, clamped to 2g–8g (2g if
+    MemTotal is unreadable). The test suite and the table jobs both size
     their driver with it. spark.driver.memory is read at JVM launch, so
     it must be set before the first SparkSession starts: conftest puts
     it in PYSPARK_SUBMIT_ARGS at import, :func:`job_session` in the
@@ -45,8 +46,14 @@ def driver_memory() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, StopIteration, IndexError, ValueError):
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+        return "2g"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = f"meminfo:MemTotal={kib}kB"
+    return f"{min(8, max(2, kib // (2 << 20)))}g"  # half of MemTotal, in GiB
 
 
 def job_session() -> SparkSession:

@@ -9,8 +9,8 @@ column on the local filesystem (substitution documented in DESIGN.md);
 the property that matters — a self-contained, batch-loadable record
 per target node — is preserved and round-trip tested.
 
-That record is the only GraphFeature form outside this module.
-:func:`encode_graph_features` turns GraphFlat's collected rows into
+That record is the only GraphFeature form. GraphFlat's assembly
+reducer writes one :meth:`SubgraphRecord.to_bytes` record per root as
 ``(root, gf: binary)``; :func:`store_graph_features` writes that frame
 to parquet, and the trainer, the PS workers, the "Original" inference
 baseline and :func:`collect_records` decode ``gf`` with
@@ -20,10 +20,8 @@ numpy arrays).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 
@@ -101,51 +99,6 @@ class SubgraphRecord:
         )
 
 
-def _encode(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
-    """Collected GraphFlat rows → ``(root, gf)``, reading each nested
-    column through its Arrow list offsets (row ``i`` of a list column
-    is ``values[at[i]:at[i+1]]``; a null label is an empty segment).
-
-    An edge is kept only when both endpoints are among the record's
-    nodes: an endpoint with no node row has no features, and a
-    consumer would otherwise map it onto some other node."""
-    for rb in batches:
-        roots = rb.column("root").to_numpy()
-        label, nodes, edges = (rb.column(c) for c in ("label", "nodes", "edges"))
-        l_at, n_at, e_at = (c.offsets.to_numpy() for c in (label, nodes, edges))
-        lab = label.values.to_numpy()
-        ids, dists = (nodes.values.field(c).to_numpy() for c in ("id", "dist"))
-        feat = nodes.values.field("feat")
-        f_at, fv = feat.offsets.to_numpy(), feat.values.to_numpy()
-        src, dst, w = (edges.values.field(c).to_numpy() for c in ("src", "dst", "w"))
-        gf = []
-        for i, root in enumerate(roots):
-            a, b = n_at[i], n_at[i + 1]  # b > a: every record holds its root
-            e = slice(e_at[i], e_at[i + 1])
-            keep = np.isin(src[e], ids[a:b]) & np.isin(dst[e], ids[a:b])
-            rec = SubgraphRecord(
-                root=root,
-                label=lab[l_at[i] : l_at[i + 1]],
-                node_ids=ids[a:b],
-                dists=dists[a:b],
-                feats=fv[f_at[a] : f_at[b]].reshape(b - a, -1),
-                e_src=src[e][keep],
-                e_dst=dst[e][keep],
-                e_w=w[e][keep],
-            )
-            gf.append(rec.to_bytes())
-        yield pa.RecordBatch.from_arrays(
-            [pa.array(roots, pa.int64()), pa.array(gf, pa.binary())], names=["root", "gf"]
-        )
-
-
-def encode_graph_features(flat: DataFrame) -> DataFrame:
-    """GraphFlat's collected ``(root, label, nodes: array<struct<id,dist,
-    feat>>, edges: array<struct<src,dst,w>>)`` rows as ``(root, gf:
-    binary)``, one :meth:`SubgraphRecord.to_bytes` record per root."""
-    return flat.mapInArrow(_encode, "root long, gf binary")
-
-
 def store_graph_features(gf: DataFrame, path: str) -> None:
     """Write GraphFlat's ``(root, gf)`` records to parquet — the
     pipeline's *Storing* phase (one flattened record per target, the
@@ -159,5 +112,7 @@ def load_graph_features(spark: SparkSession, path: str) -> DataFrame:
 
 
 def collect_records(gf: DataFrame) -> list[SubgraphRecord]:
-    """Decode ``(root, gf)`` records on the driver."""
-    return [SubgraphRecord.from_bytes(r["gf"]) for r in gf.select("gf").collect()]
+    """Decode ``(root, gf)`` records on the driver, in root order (not
+    in the order Spark's partitioning happens to return them)."""
+    recs = [SubgraphRecord.from_bytes(r["gf"]) for r in gf.select("gf").collect()]
+    return sorted(recs, key=lambda r: r.root)

@@ -11,9 +11,10 @@ reducer, expressed as DataFrame dataflow:
   (``key`` = dst, ``peer`` = src; one ``edges ⋈ nodes`` join);
   *out-edge* rows give each node its routing (``key`` = src,
   ``peer`` = dst, null ``h``).
-- Reduce round k < K: ``repartition(key).sortWithinPartitions(key,
-  kind, peer)`` and one ``mapInArrow`` reducer, the only shuffle of the
-  round. The reducer merges each node's messages, applies slice k with
+- Reduce round k < K: one :func:`~repro.core.graphflat.reduce_by_key`
+  sorted by ``(key, kind, peer)``, the only shuffle of the round (the
+  keyed reduce lives in ``graphflat.py``; GraphFlat's assembly runs
+  it too). The reducer merges each node's messages, applies slice k with
   the training layer's forward, and propagates: it emits the node's
   next self row plus one message per out-edge row. Each embedding is
   computed exactly once — the property that makes GraphInfer beat
@@ -29,7 +30,9 @@ Arrow encoding as GraphInfer, so Table 5 compares the algorithms.
 
 Sampling consistency: pass the *same* ``max_degree``/``strategy``/
 ``seed`` used by GraphFlat and the identical deterministic sampled edge
-set is used here (§3.4 last paragraph).
+set is used here (§3.4 last paragraph); both pipelines read it through
+:func:`~repro.core.graphflat.sampled_edges`, so they share one cached
+sample.
 """
 from __future__ import annotations
 
@@ -43,8 +46,7 @@ from pyspark.sql import functions as F
 from ..nn.edges import Edges
 from ..nn.models import layer_from_slice, slice_needs_self_loops
 from .graphfeature import SubgraphRecord
-from .graphflat import khop_members, subgraph_edges
-from .sampling import sample_in_edges
+from .graphflat import _matrix, khop_members, reduce_by_key, sampled_edges, subgraph_edges
 from .vectorize import merge_batch
 
 _ROW_SCHEMA = "key long, peer long, w double, kind tinyint, h array<double>"
@@ -60,35 +62,10 @@ def _list_column(M: np.ndarray) -> pa.ListArray:
     return pa.ListArray.from_arrays(offsets, pa.array(np.ascontiguousarray(M).ravel()))
 
 
-def _matrix(col: pa.ListArray) -> np.ndarray:
-    """The non-null rows of a ``list<double>`` column as one ``[n, d]`` matrix."""
-    n = len(col) - col.null_count
-    flat = col.flatten().to_numpy()
-    return flat.reshape(n, flat.size // n if n else 0)
-
-
 def _score_batch(ids: np.ndarray, scores: np.ndarray) -> pa.RecordBatch:
     return pa.RecordBatch.from_arrays(
         [pa.array(ids, pa.int64()), _list_column(scores)], names=["id", "score"]
     )
-
-
-def _key_groups(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
-    """Re-cut a key-sorted Arrow stream so no key group spans two
-    batches: each batch's trailing group is carried into the next."""
-    carry = None
-    for rb in batches:
-        if rb.num_rows == 0:
-            continue
-        if carry is not None:
-            rb = pa.Table.from_batches([carry, rb]).combine_chunks().to_batches()[0]
-        keys = rb.column("key").to_numpy()
-        cut = int(np.searchsorted(keys, keys[-1], side="left"))
-        if cut:
-            yield rb.slice(0, cut)
-        carry = rb.slice(cut)
-    if carry is not None:
-        yield carry
 
 
 def _locate(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,11 +88,11 @@ def _round_fn(spec: dict, head_spec: dict | None):
     one message per out-edge row.
     """
 
-    def fn(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+    def fn(groups: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         layer = layer_from_slice(spec)
         head = None if head_spec is None else layer_from_slice(head_spec)
         loops = slice_needs_self_loops(spec)
-        for rb in _key_groups(batches):
+        for rb in groups:
             key = rb.column("key").to_numpy()
             kind = rb.column("kind").to_numpy()
             w = rb.column("w").to_numpy(zero_copy_only=False)
@@ -196,9 +173,7 @@ def run_graph_infer(
     Returns (id, score: array<double>) for **every** node. ``slices``
     comes from :meth:`GNNModel.to_slices`.
     """
-    if max_degree is not None:
-        edges = sample_in_edges(edges, max_degree, strategy=strategy, seed=seed)
-    edges = edges.select("src", "dst", "w").cache()
+    edges = sampled_edges(edges, max_degree, strategy=strategy, seed=seed)
     gnn_slices, pred_slice = slices[:-1], slices[-1]
     if not gnn_slices:
         return nodes.select("id", "feat").mapInArrow(_head_fn(pred_slice), _SCORE_SCHEMA)
@@ -213,13 +188,11 @@ def run_graph_infer(
             rows = rows.unionByName(out_edges)
         # peer fixes the order a node's messages are summed in, so the
         # scores do not depend on how rows arrive from the shuffle
-        rows = (
-            rows.repartition("key")
-            .sortWithinPartitions("key", "kind", "peer")
-            .mapInArrow(
-                _round_fn(spec, pred_slice if last else None),
-                _SCORE_SCHEMA if last else _ROW_SCHEMA,
-            )
+        rows = reduce_by_key(
+            rows,
+            ["kind", "peer"],
+            _round_fn(spec, pred_slice if last else None),
+            _SCORE_SCHEMA if last else _ROW_SCHEMA,
         )
     return rows
 

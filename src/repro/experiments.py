@@ -1,8 +1,7 @@
 """Experiment harnesses reproducing the paper's Tables 1–5.
 
 Each ``table*`` function returns printable rows; ``jobs/table*.py`` are
-the spark-submit wrappers, and ``benchmarks/bench_table*.py`` wrap the
-timed pieces in pytest-benchmark. Two scales: ``test`` (seconds, used
+the spark-submit wrappers. Two scales: ``test`` (seconds, used
 by the smoke tests) and ``bench`` (the numbers recorded in
 EXPERIMENTS.md).
 
@@ -12,7 +11,7 @@ Paper numbers are embedded alongside each harness so the jobs print
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
@@ -227,61 +226,6 @@ AGL_VARIANTS = {
 }
 
 
-@dataclass
-class Table4Setup:
-    """Prepared state for the Table-4 timing grid: the bench PPI graph,
-    its whole-graph batch, and per-K GraphFeature parquet paths."""
-
-    ds: GraphDataset
-    gf_paths: dict[int, str]
-    n_targets: int
-
-
-def prepare_table4(
-    spark: SparkSession,
-    workdir: str,
-    *,
-    scale: str = "bench",
-    layers: tuple[int, ...] = (1, 2, 3),
-    n_targets: int | None = None,
-    max_degree: int = 8,
-) -> Table4Setup:
-    ds = make_datasets(scale)["ppi_lite"]
-    nodes_df, edges_df = ds.to_spark(spark)
-    train_ids = ds.split_ids("train")
-    if n_targets is None:
-        n_targets = 256 if scale == "test" else 2048
-    targets_ids = np.sort(np.random.default_rng(0).permutation(train_ids)[:n_targets])
-    targets = spark.createDataFrame(pd.DataFrame({"id": targets_ids}))
-    paths = {}
-    for k in layers:
-        path = f"{workdir}/gf_k{k}"
-        gf = build_graph_features(nodes_df, edges_df, targets, k, max_degree=max_degree)
-        store_graph_features(gf, path)
-        paths[k] = path
-    return Table4Setup(ds=ds, gf_paths=paths, n_targets=len(targets_ids))
-
-
-def make_table4_trainer(setup: Table4Setup, system: str, kind: str, n_layers: int):
-    """Build the per-config (trainer, epoch_fn) pair the timing loop and
-    the pytest benchmarks share. ``system`` ∈ {pyg_sim, dgl_sim} ∪
-    AGL_VARIANTS."""
-    cfg_kw = _TASK_CFG["ppi_lite"].copy()
-    cfg = TrainConfig(kind=kind, n_layers=n_layers, lr=0.01, batch_size=512, seed=1, **cfg_kw)
-    if system in ("pyg_sim", "dgl_sim"):
-        bg = _whole_graph(setup.ds, setup.ds.split_ids("train"))
-        t = WholeGraphTrainer(cfg, bg, system=system)
-        return t, lambda epoch: t.train_epoch(epoch)
-    flags = AGL_VARIANTS[system]
-    cfg = TrainConfig(
-        kind=kind, n_layers=n_layers, lr=0.01, batch_size=512, seed=1,
-        pipeline=True, **flags, **cfg_kw,
-    )
-    t = GraphTrainer(cfg, setup.ds.feat_dim)
-    src = ParquetSource(setup.gf_paths[n_layers], batch_size=cfg.batch_size)
-    return t, lambda epoch: t.train_epoch(src, epoch)
-
-
 def table4_run(
     spark: SparkSession,
     workdir: str,
@@ -291,15 +235,33 @@ def table4_run(
     kinds: tuple[str, ...] = ("gcn", "sage", "gat"),
     reps: int = 3,
 ) -> list[dict]:
-    """Time one training epoch per (system, model, depth) config."""
-    setup = prepare_table4(spark, workdir, scale=scale, layers=layers)
-    systems = ["pyg_sim", "dgl_sim", *AGL_VARIANTS]
+    """Time one training epoch per (system, model, depth) config: the
+    whole-graph stand-ins in memory, the AGL variants over the stored
+    GraphFeatures of 2,048 (``test`` scale: 256) ppi_lite training
+    targets."""
+    ds = make_datasets(scale)["ppi_lite"]
+    nodes_df, edges_df = ds.to_spark(spark)
+    n_targets = 256 if scale == "test" else 2048
+    target_ids = np.sort(np.random.default_rng(0).permutation(ds.split_ids("train"))[:n_targets])
+    targets = spark.createDataFrame(pd.DataFrame({"id": target_ids}))
+    for k in layers:
+        gf = build_graph_features(nodes_df, edges_df, targets, k, max_degree=8)
+        store_graph_features(gf, f"{workdir}/gf_k{k}")
     rows = []
     for kind in kinds:
         for k in layers:
             row = dict(model=kind, layers=k)
-            for system in systems:
-                t, epoch_fn = make_table4_trainer(setup, system, kind, k)
+            cfg = TrainConfig(
+                kind=kind, n_layers=k, lr=0.01, batch_size=512, seed=1, **_TASK_CFG["ppi_lite"]
+            )
+            for system in ["pyg_sim", "dgl_sim", *AGL_VARIANTS]:
+                if system in AGL_VARIANTS:
+                    t = GraphTrainer(replace(cfg, pipeline=True, **AGL_VARIANTS[system]), ds.feat_dim)
+                    src = ParquetSource(f"{workdir}/gf_k{k}", batch_size=cfg.batch_size)
+                    epoch_fn = lambda epoch: t.train_epoch(src, epoch)
+                else:
+                    bg = _whole_graph(ds, ds.split_ids("train"))
+                    epoch_fn = WholeGraphTrainer(cfg, bg, system=system).train_epoch
                 epoch_fn(0)  # warmup (first epoch pays allocation)
                 t0 = time.perf_counter()
                 for r in range(reps):

@@ -9,12 +9,11 @@ import pytest
 
 from repro.core.graphfeature import (
     SubgraphRecord,
-    _encode,
     collect_records,
     load_graph_features,
     store_graph_features,
 )
-from repro.core.graphflat import build_graph_features
+from repro.core.graphflat import EDGE, NODE, _assemble, _key_groups, build_graph_features
 from repro.graphs.generators import uug_lite
 
 
@@ -83,29 +82,35 @@ def test_empty_edges_record_roundtrip():
 
 
 def test_encode_reads_list_offsets_of_a_sliced_batch():
-    """The encoder reads each nested column through its own list
-    offsets, so a batch sliced out of a larger one (non-zero first
-    offset) and a null label encode the right rows."""
+    """GraphFlat's assembly reducer reads the ``feat`` and ``label``
+    list columns of a batch sliced out of a larger one (non-zero first
+    offsets, as ``_key_groups`` hands it), drops an edge whose endpoint
+    has no node row, gives a null label as an empty segment and emits
+    nothing for a root without a node row of its own."""
+    node_rows = {  # key -> [(id, dist, feat, label)]
+        5: [(5, 0, [0.0, 0.5], [1.0])],
+        7: [(3, 1, [2.5, 3.5], None), (7, 0, [0.5, 1.5], [1.0]), (9, 2, [4.5, 5.5], None)],
+        8: [(8, 0, [6.0, 7.0], None)],
+    }
+    edge_rows = {  # key -> [(src, dst, w)], sorted
+        5: [(5, 5, 9.0)],
+        7: [(-1, 7, 3.0), (3, 7, 1.0), (9, 3, 0.25)],
+        8: [],
+    }
     rows = [
-        (5, [1.0], [(5, 0, [0.0, 0.5])], [(5, 5, 9.0)]),
-        (7, [1.0], [(3, 1, [2.5, 3.5]), (7, 0, [0.5, 1.5]), (9, 2, [4.5, 5.5])],
-         [(3, 7, 1.0), (9, 3, 0.25), (-1, 7, 3.0)]),
-        (8, None, [(8, 0, [6.0, 7.0])], []),
+        row
+        for key in (5, 7, 8)
+        for row in [(key, NODE, i, d, None, f, lab) for i, d, f, lab in node_rows[key]]
+        + [(key, EDGE, s, t, w, None, None) for s, t, w in edge_rows[key]]
     ]
-    node_t = pa.struct([("id", pa.int64()), ("dist", pa.int32()), ("feat", pa.list_(pa.float64()))])
-    edge_t = pa.struct([("src", pa.int64()), ("dst", pa.int64()), ("w", pa.float64())])
+    types = [pa.int64(), pa.int8(), pa.int64(), pa.int64(), pa.float64(),
+             pa.list_(pa.float64()), pa.list_(pa.float64())]
     rb = pa.RecordBatch.from_arrays(
-        [
-            pa.array([r[0] for r in rows], pa.int64()),
-            pa.array([r[1] for r in rows], pa.list_(pa.float64())),
-            pa.array([[dict(zip(("id", "dist", "feat"), n)) for n in r[2]] for r in rows],
-                     pa.list_(node_t)),
-            pa.array([[dict(zip(("src", "dst", "w"), e)) for e in r[3]] for r in rows],
-                     pa.list_(edge_t)),
-        ],
-        names=["root", "label", "nodes", "edges"],
+        [pa.array([r[c] for r in rows], t) for c, t in enumerate(types)],
+        names=["key", "kind", "u", "v", "w", "feat", "label"],
     )
-    (out,) = _encode(iter([rb.slice(1)]))
+    # slicing off root 5's node row leaves its edge row without a node
+    out = pa.Table.from_batches(list(_assemble(_key_groups(iter([rb.slice(1)])))))
     assert out.column("root").to_pylist() == [7, 8]
     seven = SubgraphRecord(
         root=7, label=np.array([1.0]), node_ids=np.array([3, 7, 9]), dists=np.array([1, 0, 2]),

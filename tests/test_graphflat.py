@@ -3,6 +3,8 @@ literal message-passing pipeline vs the frontier pipeline, and the
 subgraph edge-set rule (in-edges of members at distance ≤ K−1)."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -194,22 +196,53 @@ def test_targets_without_inedges_still_emitted(spark):
 
 def test_graph_features_independent_of_partitioning(spark):
     """Each root's stored bytes are the same for 1 or 7 shuffle
-    partitions, and with 3-row Arrow batches, so the encoder reads the
-    nested columns' list offsets correctly across batch boundaries."""
+    partitions and for 3-row or 10,000-row Arrow batches, so the
+    assembly reducer sees every key group whole (a group cut at a
+    batch boundary is carried into the next batch) and reads the list
+    columns' offsets correctly across batch boundaries."""
     ds = uug_lite(n=150, seed=15)
     nodes_df, edges_df = ds.to_spark(spark)
     targets = spark.createDataFrame(pd.DataFrame({"id": ds.split_ids("train")[:40]}))
-    confs = {"spark.sql.execution.arrow.maxRecordsPerBatch": "3"}
-    saved = {k: spark.conf.get(k, None) for k in (*confs, "spark.sql.shuffle.partitions")}
+    batch, parts = "spark.sql.execution.arrow.maxRecordsPerBatch", "spark.sql.shuffle.partitions"
+    saved = {k: spark.conf.get(k, None) for k in (batch, parts)}
     got = []
     try:
-        for partitions in (1, 7):
-            for k, v in {**confs, "spark.sql.shuffle.partitions": str(partitions)}.items():
-                spark.conf.set(k, v)
+        for rows, partitions in ((10_000, 7), (3, 1), (3, 7)):
+            spark.conf.set(batch, str(rows))
+            spark.conf.set(parts, str(partitions))
             gf = build_graph_features(nodes_df, edges_df, targets, 2, max_degree=4, seed=3)
             got.append({r["root"]: bytes(r["gf"]) for r in gf.collect()})
     finally:
         for k, v in saved.items():
             spark.conf.unset(k) if v is None else spark.conf.set(k, v)
     assert len(got[0]) == 40
-    assert got[0] == got[1]
+    assert got[0] == got[1] == got[2]
+
+
+def _plan_ops_outside_cache(df) -> list[str]:
+    """Operator names of ``df``'s executed plan, leaving out the plans
+    of cached relations (they run once, when the cache fills)."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    ops, cached_at = [], None
+    for depth, op in re.findall(r"(?m)^([\s:|+-]*)(\w+)", plan):
+        if cached_at is not None and len(depth) > cached_at:
+            continue
+        cached_at = len(depth) if op == "InMemoryRelation" else None
+        ops.append(op)
+    return ops
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_graph_features_plan_is_one_python_stage(spark, k):
+    """GraphFlat assembles every record in one sorted Arrow reduce: one
+    Python stage, no ``collect_list`` aggregate, and the sampling
+    Window only inside the cached sampled edge table."""
+    ds = uug_lite(n=60, seed=16)
+    nodes_df, edges_df = ds.to_spark(spark)
+    targets = spark.createDataFrame(pd.DataFrame({"id": ds.split_ids("train")[:10]}))
+    gf = build_graph_features(nodes_df, edges_df, targets, k, max_degree=4)
+    ops = _plan_ops_outside_cache(gf)
+    assert sum("InArrow" in op for op in ops) == 1
+    assert "ObjectHashAggregate" not in ops
+    assert "Window" not in ops
+    assert "InMemoryRelation" in ops

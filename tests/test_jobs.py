@@ -1,12 +1,16 @@
 """Smoke-run every table job at test scale: each harness must execute
 end-to-end and produce rows with the expected structure (the bench-scale
-numbers land in EXPERIMENTS.md via the benchmarks/jobs)."""
+numbers land in EXPERIMENTS.md via the jobs), and the driver-heap rule
+the jobs and the test suite share."""
 from __future__ import annotations
 
+import io
 import sys
 from pathlib import Path
 
 import pytest
+
+from jobs import _common
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 
@@ -67,3 +71,22 @@ def test_table5(spark, tmp_path, capsys):
     assert res["original_total_s"] > 0 and res["graphinfer_total_s"] > 0
     # the cost-proxy shape that drives the paper's Table-5 gap
     assert res["original_node_computations"] > res["graphinfer_node_computations"]
+
+
+@pytest.mark.parametrize(
+    "mem_total_kib, heap", [(16_000_000, "7g"), (64 << 20, "8g"), (1_000_000, "2g"), (None, "2g")]
+)
+def test_driver_memory_falls_back_to_half_of_memtotal(monkeypatch, mem_total_kib, heap):
+    """With no SPARK_DRIVER_MEM and no readable cgroup limit, the heap
+    is half of MemTotal in GiB, clamped to 2g–8g; 2g if MemTotal is
+    unreadable."""
+
+    def fake_open(path, *args, **kwargs):
+        if path == "/proc/meminfo" and mem_total_kib is not None:
+            return io.StringIO(f"MemFree: 1 kB\nMemTotal:       {mem_total_kib} kB\n")
+        raise OSError(path)
+
+    monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+    monkeypatch.setenv("_SPARK_DRIVER_MEM_SRC", "")
+    monkeypatch.setattr(_common, "open", fake_open, raising=False)
+    assert _common.driver_memory() == heap
