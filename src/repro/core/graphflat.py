@@ -22,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 import pyarrow as pa
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -68,10 +69,12 @@ def reduce_by_key(rows: DataFrame, order: list[str], fn, schema: str) -> DataFra
 def sampled_edges(edges: DataFrame, max_degree: int | None, **sampling) -> DataFrame:
     """The cached ``(src, dst, w)`` table a pipeline runs on, sampled
     once if ``max_degree`` is set. Equal arguments give equal plans, so
-    GraphFlat and GraphInfer share one cached sample (§3.4)."""
+    GraphFlat and GraphInfer share one cached sample (§3.4); a plan the
+    cache manager already holds is returned without caching it again."""
     if max_degree is not None:
         edges = sample_in_edges(edges, max_degree, **sampling)
-    return edges.select("src", "dst", "w").cache()
+    edges = edges.select("src", "dst", "w")
+    return edges if edges.storageLevel != StorageLevel.NONE else edges.cache()
 
 
 def khop_members(edges: DataFrame, targets: DataFrame, k: int) -> DataFrame:

@@ -6,13 +6,19 @@ data-parallel — the paper's central claim. The PS maps onto Spark as:
 
 - **server** = the driver: holds the canonical parameters and the Adam
   state, applies updates.
-- **workers** = partitions of the GraphFeature RDD: each round they
-  receive the broadcast parameters, replay their partition through a
-  :class:`~repro.core.trainer.GraphTrainer`'s ``vectorize`` and the
-  batch step every trainer shares, and emit summed gradients.
-- **synchronisation** = ``treeReduce`` of (grad-sum, loss-sum, count);
-  one driver update per round (synchronous PS — the substitution for
-  the paper's async PS is documented in DESIGN.md).
+- **workers** = partitions of the GraphFeature RDD. Like the paper's
+  workers, each keeps its data shard across rounds: the records are
+  partitioned across the workers once, vectorized once through
+  :meth:`~repro.core.trainer.GraphTrainer.vectorize`, and the batches
+  are cached. Each round they receive the broadcast parameters, run
+  the batch step every trainer shares over their cached batches, and
+  emit summed gradients.
+- **synchronisation** = ``reduce`` of (grad-sum, loss-sum, count) on
+  the driver; one driver update per round (synchronous PS — the
+  substitution for the paper's async PS is documented in DESIGN.md).
+
+After the first round, a round is one Spark job over the cached
+batches, one task per worker, with no shuffle.
 
 A test asserts the reduced distributed gradient is numerically equal to
 the single-process gradient over the same records, which is the data-
@@ -21,37 +27,95 @@ rests on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import threading
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark import RDD
+from pyspark.sql import DataFrame
 
 from ..nn.optim import Adam
 from .trainer import GraphTrainer, TrainConfig, batch_step
 
+#: frame → {(n_workers, batch-shaping config values): cached batch RDD}
+_PREPARED: "weakref.WeakKeyDictionary[DataFrame, dict[tuple, RDD]]" = (
+    weakref.WeakKeyDictionary()
+)
+_PREPARED_LOCK = threading.Lock()
 
-def _partition_gradients(gf_blobs, cfg: TrainConfig, d_in: int, params):
-    """Worker body: full gradient of this partition at ``params``.
 
-    Builds a :class:`GraphTrainer` at ``params``, runs the shared batch
-    step over mini-batches of ``cfg.batch_size`` encoded records, and
-    yields one (grad·n, loss·n, n) triple, n = targets seen.
+def _vectorize_partition(gf_blobs, cfg: TrainConfig, d_in: int):
+    """Worker preparation: yields one ``(BatchGraph, adj)`` per
+    ``cfg.batch_size`` encoded records of this partition.
+
+    Each adjacency's src-sorted permutation is computed here, so the
+    cached batches carry it and no round re-sorts edges for backward.
     """
     blobs = list(gf_blobs)
     if not blobs:
         return
     tr = GraphTrainer(cfg, d_in)
-    tr.model.set_params(params)
+    for i in range(0, len(blobs), cfg.batch_size):
+        bg, adj = tr.vectorize(blobs[i : i + cfg.batch_size])
+        for e in adj:
+            _ = e.src_order  # computed once, pickled with the Edges
+        yield bg, adj
+
+
+def _partition_gradients(batches, cfg: TrainConfig, d_in: int, params):
+    """Worker body: full gradient of this partition at ``params``.
+
+    Runs the shared batch step over the partition's vectorized batches
+    and yields one (grad·n, loss·n, n) triple, n = targets seen, or
+    nothing for an empty partition.
+    """
+    batches = iter(batches)
+    first = next(batches, None)
+    if first is None:
+        return
+    model = cfg.build_model(d_in)
+    model.set_params(params)
     grads: dict[str, np.ndarray] | None = None
     loss_sum, n = 0.0, 0
-    for i in range(0, len(blobs), cfg.batch_size):
-        loss, b = batch_step(tr.model, *tr.vectorize(blobs[i : i + cfg.batch_size]))
+    for bg, adj in itertools.chain([first], batches):
+        loss, b = batch_step(model, bg, adj)
         # per-target gradient sum: batch loss is a mean over the batch
-        bgrads = {k: v * b for k, v in tr.model.get_grads().items()}
+        bgrads = {k: v * b for k, v in model.get_grads().items()}
         grads = bgrads if grads is None else {k: grads[k] + bgrads[k] for k in grads}
         loss_sum += loss * b
         n += b
     yield (grads, loss_sum, n)
+
+
+def _unpersist(rdd: RDD) -> None:
+    if rdd.ctx._jsc is not None:  # the SparkContext has not been stopped
+        rdd.unpersist()
+
+
+def _prepared(gf: DataFrame, cfg: TrainConfig, d_in: int, n_workers: int) -> RDD:
+    """The workers' data shards: ``gf``'s records split across
+    ``n_workers`` partitions once, vectorized once and cached.
+
+    Memoized per frame, on ``n_workers`` and the values of the config
+    fields that shape a batch (``TrainConfig`` is mutable, so the values
+    are snapshotted). ``d_in`` shapes no batch, so it is not part of
+    the key. The RDD is unpersisted when the frame is garbage-collected.
+    """
+    key = (n_workers, cfg.batch_size, cfg.n_layers, cfg.kind, cfg.pruning)
+    with _PREPARED_LOCK:
+        memo = _PREPARED.setdefault(gf, {})
+        if key not in memo:
+            cfg = replace(cfg)
+            rdd = (
+                gf.select("gf").rdd.map(lambda r: r["gf"]).repartition(n_workers)
+                .mapPartitions(lambda it: _vectorize_partition(it, cfg, d_in))
+                .cache()
+            )
+            weakref.finalize(gf, _unpersist, rdd).atexit = False  # the app's end frees it
+            memo[key] = rdd
+        return memo[key]
 
 
 def _merge(a, b):
@@ -69,16 +133,19 @@ class PSResult:
 def distributed_gradient(
     gf: DataFrame, cfg: TrainConfig, d_in: int, params: dict, n_workers: int
 ) -> tuple[dict, float]:
-    """One PS round: broadcast → worker grads → treeReduce. Returns the
-    *mean* gradient over all records and the mean loss."""
-    sc = gf.sparkSession.sparkContext
-    bc = sc.broadcast(params)
-    rdd = gf.select("gf").rdd.map(lambda r: r["gf"]).repartition(n_workers)
+    """One PS round: broadcast → worker grads over the cached shards →
+    reduce. Returns the *mean* gradient over all records and the mean
+    loss.
+
+    The driver sums one triple per worker; a ``treeReduce`` would add a
+    shuffle level from 5 workers on."""
+    batches = _prepared(gf, cfg, d_in, n_workers)
+    bc = gf.sparkSession.sparkContext.broadcast(params)
     try:
-        grads, loss_sum, n = rdd.mapPartitions(
+        grads, loss_sum, n = batches.mapPartitions(
             lambda it: _partition_gradients(it, cfg, d_in, bc.value)
-        ).treeReduce(_merge)
-    except ValueError as e:  # treeReduce raises it driver-side when no partition yielded
+        ).reduce(_merge)
+    except ValueError as e:  # reduce raises it driver-side when no partition yielded
         raise ValueError("distributed_gradient: the GraphFeature frame is empty") from e
     finally:
         bc.unpersist()
@@ -95,8 +162,8 @@ def train_parameter_server(
 ) -> PSResult:
     """Synchronous PS training: one global Adam step per epoch, computed
     from the reduced full-batch gradient. ``gf`` is the (root, gf-string)
-    frame the Storing phase produced."""
-    gf = gf.cache()
+    frame the Storing phase produced; the workers' vectorized shards of
+    it stay cached until the frame is garbage-collected."""
     model = cfg.build_model(d_in)  # driver-side canonical params
     opt = Adam(lr=cfg.lr)
     params = model.get_params()

@@ -17,9 +17,9 @@ callers differ only in where batches come from and who applies Adam:
   * ``partition`` — the fused destination-partitioned threaded
     aggregation kernel instead of buffered ``np.add.at``.
 
-- the parameter-server workers (:mod:`repro.core.ps`): each builds a
-  GraphTrainer, vectorizes its partition's batches and sums their
-  gradients; the driver applies Adam.
+- the parameter-server workers (:mod:`repro.core.ps`): each vectorizes
+  its partition's batches once with a GraphTrainer and caches them;
+  each round sums their gradients and the driver applies Adam.
 
 - :class:`WholeGraphTrainer` — the in-memory comparator stand-ins,
   one full-batch step per epoch on the whole graph: ``dgl_sim`` runs

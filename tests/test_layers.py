@@ -45,6 +45,24 @@ def test_edges_in_degrees():
     np.testing.assert_array_equal(e.in_degrees(weighted=True), [4, 6, 0])
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_edges_in_degrees_bit_identical_to_add_at(weighted):
+    """The bincount degree equals the buffered ``np.add.at`` sum bit for
+    bit: dst-sorted edges with duplicate (src, dst) pairs, and nodes
+    with no in-edge."""
+    rng = np.random.default_rng(9)
+    n = 40
+    src = rng.integers(0, n, 300)
+    dst = rng.integers(0, n // 2, 300)  # nodes n/2.. have no in-edge
+    src, dst = np.concatenate([src, src[:50]]), np.concatenate([dst, dst[:50]])
+    e = Edges.from_arrays(src, dst, rng.uniform(0.1, 3.0, src.shape[0]), n)
+    ref = np.zeros(n)
+    np.add.at(ref, e.dst, e.w if weighted else np.ones(e.m))
+    got = e.in_degrees(weighted=weighted)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
 # ---------- forward semantics on tiny graphs ----------
 def test_gcn_forward_is_weighted_mean():
     # 2 nodes, edge 0->1 weight 3, plus self loops weight 1.
