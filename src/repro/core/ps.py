@@ -50,18 +50,16 @@ def _vectorize_partition(gf_blobs, cfg: TrainConfig, d_in: int):
     """Worker preparation: yields one ``(BatchGraph, adj)`` per
     ``cfg.batch_size`` encoded records of this partition.
 
-    Each adjacency's src-sorted permutation is computed here, so the
-    cached batches carry it and no round re-sorts edges for backward.
+    :meth:`GraphTrainer.vectorize` computes each adjacency's src-sorted
+    permutation, so the cached batches carry it and no round re-sorts
+    edges for backward.
     """
     blobs = list(gf_blobs)
     if not blobs:
         return
     tr = GraphTrainer(cfg, d_in)
     for i in range(0, len(blobs), cfg.batch_size):
-        bg, adj = tr.vectorize(blobs[i : i + cfg.batch_size])
-        for e in adj:
-            _ = e.src_order  # computed once, pickled with the Edges
-        yield bg, adj
+        yield tr.vectorize(blobs[i : i + cfg.batch_size])
 
 
 def _partition_gradients(batches, cfg: TrainConfig, d_in: int, params):

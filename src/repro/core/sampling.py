@@ -21,7 +21,8 @@ sampling, weighted sampling"):
 - ``uniform``  — every in-edge equally likely: rank by the hash-uniform.
 - ``weighted`` — inclusion probability ∝ edge weight, via the
   Efraimidis–Spirakis exponential-race key ``log(u)/w`` (top-k of this
-  key is a weighted sample without replacement).
+  key is a weighted sample without replacement). The key is defined for
+  finite w > 0 only, so any other weight is rejected before sampling.
 """
 from __future__ import annotations
 
@@ -64,6 +65,15 @@ def sample_in_edges(
     top-k. Result is identical either way — re-indexing is a load-
     balancing strategy, not a semantic one — which tests assert.
     """
+    if strategy == "weighted":
+        w = F.col("w")
+        valid = F.coalesce((w > 0) & (w < float("inf")), F.lit(False))  # null w is invalid
+        bad = edges.filter(~valid).count()
+        if bad:
+            raise ValueError(
+                f"weighted sampling needs every edge weight finite and > 0 "
+                f"(Efraimidis–Spirakis keys log(u)/w); {bad} edges are not"
+            )
     ranked = edges.withColumn("_key", _rank_key(strategy, seed))
     direct_win = Window.partitionBy("dst").orderBy(F.desc("_key"), "src")
     if reindex_threshold is None:

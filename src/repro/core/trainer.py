@@ -11,8 +11,10 @@ callers differ only in where batches come from and who applies Adam:
   and steps Adam after each one, with the three optimisation
   strategies toggleable:
 
-  * ``pipeline``  — a prefetch thread reads + vectorizes batch i+1
+  * ``pipeline``  — a prefetch thread decodes + vectorizes batch i+1
     while the model computes on batch i (§3.3.2 "training pipeline").
+    The source itself reads each batch on the consumer thread, between
+    model steps, before handing it to the prefetch thread.
   * ``pruning``   — per-layer pruned adjacencies A_B^(k) (Eq. 3).
   * ``partition`` — the fused destination-partitioned threaded
     aggregation kernel instead of buffered ``np.add.at``.
@@ -41,9 +43,6 @@ from ..nn.models import NEEDS_SELF_LOOPS, GNNModel, task_labels
 from ..nn.optim import Adam
 from .graphfeature import SubgraphRecord
 from .vectorize import BatchGraph, merge_batch
-
-#: destination-disjoint edge partitions of the ``partition`` kernel
-N_PARTITIONS = 16
 
 
 @dataclass
@@ -74,7 +73,7 @@ class TrainConfig:
 
     def aggregator(self) -> Aggregator:
         if self.partition:
-            return Aggregator("partitioned", n_partitions=N_PARTITIONS, threads=True)
+            return Aggregator("partitioned", threads=True)
         return Aggregator("add_at")
 
 
@@ -108,10 +107,11 @@ class ParquetSource:
     paper's disk-based data path ("data will be loaded from disks
     rather than from memory").
 
-    Yields *encoded* records (bytes); decoding happens inside
+    Yields *encoded* records (bytes), ``batch_size`` per batch except
+    the last, across parquet fragment boundaries. The read runs on the
+    consumer thread; decoding happens inside
     :meth:`GraphTrainer.vectorize`, i.e. on the pipeline's prefetch
-    thread, so reading + deserialisation + vectorization together form
-    the paper's overlapped "preprocessing stage"."""
+    thread."""
 
     def __init__(self, path: str, batch_size: int):
         import pyarrow.dataset as pads  # local import: optional at module load
@@ -121,10 +121,15 @@ class ParquetSource:
 
     def batches(self, epoch: int):
         ds = self._pads.dataset(self.path, format="parquet")
+        # to_batches stops at every fragment: carry the remainder over
+        buf: list[bytes] = []
         for rb in ds.to_batches(batch_size=self.batch_size, columns=["gf"]):
-            if rb.num_rows == 0:
-                continue
-            yield rb.column("gf").to_pylist()
+            buf.extend(rb.column("gf").to_pylist())
+            while len(buf) >= self.batch_size:
+                yield buf[: self.batch_size]
+                buf = buf[self.batch_size :]
+        if buf:
+            yield buf
 
 
 # ---------------------------------------------------------------- trainer
@@ -145,13 +150,17 @@ class GraphTrainer:
         """Subgraph-vectorization phase: records → (A_B, X_B, …) and the
         per-layer (pruned) adjacency list — plus decoding when the
         source hands over encoded bytes. All of it runs off the
-        model-computation thread (§3.3.2)."""
+        model-computation thread (§3.3.2), including each adjacency's
+        src-sorted permutation for the backward pass, which the PS
+        workers' cached batches then carry."""
         records = [
             SubgraphRecord.from_bytes(r) if isinstance(r, (bytes, bytearray)) else r
             for r in records
         ]
         bg = merge_batch(records)
         adj = bg.adj_list(self.cfg.n_layers, self_loops=self.self_loops, pruning=self.cfg.pruning)
+        for e in adj:
+            _ = e.src_order
         return bg, adj
 
     def _vectorized_batches(self, source, epoch: int):

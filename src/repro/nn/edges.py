@@ -61,16 +61,6 @@ class Edges:
         w = self.w if weighted else None
         return np.bincount(self.dst, weights=w, minlength=self.n_nodes).astype(np.float64)
 
-    def scatter_to_dst(self, agg: Aggregator, values: np.ndarray) -> np.ndarray:
-        """out[dst[e]] += values[e] — values aligned with this edge order."""
-        return agg.scatter_add(values, self.dst, self.n_nodes)
-
-    def scatter_to_src(self, agg: Aggregator, values: np.ndarray) -> np.ndarray:
-        """out[src[e]] += values[e] via the src-sorted permutation, so the
-        partitioned kernel stays conflict-free in the backward pass."""
-        o = self.src_order
-        return agg.scatter_add(values[o], self.src[o], self.n_nodes)
-
     def aggregate(
         self, agg: Aggregator, M: np.ndarray, scale: np.ndarray | None = None
     ) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .aggregators import Aggregator, gather
+from .aggregators import Aggregator
 from .edges import Edges
 
 
@@ -179,25 +179,26 @@ class GATLayer(Layer):
         dZ = dH * _dact(self.act, c["Z"], c["H"])
         self.grads["b"] += dZ.sum(axis=0)
         dX = np.zeros_like(c["X"])
+        n = edges.n_nodes
         for h in range(self.n_heads):
             hc = c["heads"][h]
             dout = dZ[:, h * self.d_out : (h + 1) * self.d_out]
             z, alpha, pre = hc["z"], hc["alpha"], hc["pre"]
+            a_s, a_d = self.params[f"as{h}"], self.params[f"ad{h}"]
             # weighted-sum backward: dz[s] += α_e dout[t];  g_e = dout[t]·z_s
-            dout_t = gather(dout, edges.dst)
-            z_s = gather(z, edges.src)
-            g = np.einsum("ed,ed->e", dout_t, z_s)
+            g = np.einsum("ed,ed->e", dout[edges.dst], z[edges.src])
             dz = edges.aggregate_rev(self.agg, dout, alpha)
             # softmax backward within each destination segment
-            seg_dot = edges.scatter_to_dst(self.agg, (alpha * g)[:, None])[:, 0]
+            seg_dot = self.agg.segment_sum(alpha * g, edges.dst, n)
             dlre = alpha * (g - seg_dot[edges.dst])
             dpre = dlre * np.where(pre > 0, 1.0, self.LEAK)
-            # score backward: pre = (z W? no) = z_s·a_s + z_t·a_d
-            z_t = gather(z, edges.dst)
-            self.grads[f"as{h}"] += dpre @ z_s
-            self.grads[f"ad{h}"] += dpre @ z_t
-            dz += edges.scatter_to_src(self.agg, dpre[:, None] * self.params[f"as{h}"][None, :])
-            dz += edges.scatter_to_dst(self.agg, dpre[:, None] * self.params[f"ad{h}"][None, :])
+            # score backward: pre_e = z_s·a_s + z_t·a_d, so both terms
+            # reduce per node first: Σ_e dpre_e z_s = (Σ_{e: src=s} dpre_e) z_s
+            ps = self.agg.segment_sum(dpre, edges.src, n)
+            pd = self.agg.segment_sum(dpre, edges.dst, n)
+            self.grads[f"as{h}"] += ps @ z
+            self.grads[f"ad{h}"] += pd @ z
+            dz += np.outer(ps, a_s) + np.outer(pd, a_d)
             self.grads[f"W{h}"] += c["X"].T @ dz
             dX += dz @ self.params[f"W{h}"].T
         return dX

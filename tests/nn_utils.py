@@ -52,3 +52,37 @@ def layer_gradcheck(layer, X: np.ndarray, edges: Edges, seed: int = 0, tol: floa
         np.testing.assert_allclose(
             layer.grads[name], num, rtol=tol, atol=tol, err_msg=f"param {name}"
         )
+
+
+def gat_backward_edgewise(layer, dH: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Reference GAT backward that forms every term per edge: gathers
+    ``z[src]``, ``z[dst]`` and ``dout[dst]``, and scatters each score
+    gradient with ``np.add.at``. Reads the activations ``layer``'s last
+    forward cached; returns ``(param grads, dX)``."""
+    from repro.nn.layers import _dact
+
+    c = layer._cache
+    e = c["edges"]
+    dZ = dH * _dact(layer.act, c["Z"], c["H"])
+    grads = {k: np.zeros_like(v) for k, v in layer.params.items()}
+    grads["b"] += dZ.sum(axis=0)
+    dX = np.zeros_like(c["X"])
+    for h in range(layer.n_heads):
+        hc = c["heads"][h]
+        dout = dZ[:, h * layer.d_out : (h + 1) * layer.d_out]
+        z, alpha, pre = hc["z"], hc["alpha"], hc["pre"]
+        a_s, a_d = layer.params[f"as{h}"], layer.params[f"ad{h}"]
+        z_s, z_t, dout_t = z[e.src], z[e.dst], dout[e.dst]
+        g = np.einsum("ed,ed->e", dout_t, z_s)
+        dz = np.zeros_like(z)
+        np.add.at(dz, e.src, alpha[:, None] * dout_t)
+        seg_dot = np.zeros(e.n_nodes)
+        np.add.at(seg_dot, e.dst, alpha * g)
+        dpre = alpha * (g - seg_dot[e.dst]) * np.where(pre > 0, 1.0, layer.LEAK)
+        grads[f"as{h}"] += dpre @ z_s
+        grads[f"ad{h}"] += dpre @ z_t
+        np.add.at(dz, e.src, dpre[:, None] * a_s[None, :])
+        np.add.at(dz, e.dst, dpre[:, None] * a_d[None, :])
+        grads[f"W{h}"] += c["X"].T @ dz
+        dX += dz @ layer.params[f"W{h}"].T
+    return grads, dX

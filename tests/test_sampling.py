@@ -128,3 +128,15 @@ def test_unknown_strategy_raises(spark, hub_edges):
     _, edges_df = hub_edges
     with pytest.raises(ValueError, match="unknown sampling strategy"):
         sample_in_edges(edges_df, 3, strategy="nope").collect()
+
+
+@pytest.mark.parametrize("bad_w", [0.0, -1.0, float("nan"), float("inf")])
+def test_weighted_sampling_rejects_non_positive_weights(spark, bad_w):
+    """Efraimidis–Spirakis keys exist for finite w > 0 only: w = 0 used
+    to fail with a division by zero and w < 0 to outrank every valid
+    edge. (A pandas NaN arrives in Spark as a null weight.)"""
+    pdf = pd.DataFrame({"src": [1, 2, 3], "dst": [0, 0, 0], "w": [1.0, bad_w, 2.0]})
+    edges_df = spark.createDataFrame(pdf)
+    with pytest.raises(ValueError, match=r"finite and > 0.*1 edges"):
+        sample_in_edges(edges_df, 2, strategy="weighted")
+    sample_in_edges(edges_df, 2, strategy="uniform").collect()

@@ -107,6 +107,23 @@ def test_parquet_source_equals_memory_source(spark, uug_recs, tmp_path):
     np.testing.assert_allclose(np.sort(one.node_ids), np.sort(ref.node_ids))
 
 
+def test_parquet_source_batches_span_fragments(tmp_path):
+    """Every batch but the last holds ``batch_size`` records, even when
+    no fragment size is a multiple of it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    sizes, blobs = (7, 5, 9), []
+    for i, n in enumerate(sizes):
+        part = [f"{i}-{j}".encode() for j in range(n)]
+        table = pa.table({"gf": pa.array(part, pa.binary())})
+        pq.write_table(table, tmp_path / f"part-{i}.parquet")
+        blobs += part
+    got = list(ParquetSource(str(tmp_path), batch_size=4).batches(0))
+    assert [len(b) for b in got] == [4, 4, 4, 4, 4, 1]
+    assert [r for b in got for r in b] == blobs
+
+
 def test_trainer_on_parquet_source_learns(spark, uug_recs, tmp_path):
     ds, tr, _ = uug_recs
     nodes_df, edges_df = ds.to_spark(spark)
