@@ -9,6 +9,11 @@ GraphFeature record. Tests assert the neighborhoods equal those of the
 paper's literal merge/propagate Map/Reduce rounds (kept in
 ``tests/graphflat_reference.py``) and of a DuckDB recursive-CTE BFS.
 
+:func:`worker_entry` wraps every Python function this package ships to
+Spark workers — the reducer :func:`reduce_by_key` runs, and the map-side
+functions of ``infer.py`` and ``ps.py`` — so a reused worker does not
+re-read Spark's own zip archives before each task.
+
 Direction convention (§2.1): an edge row (src, dst, w) is src → dst,
 so ``dst``'s in-edge neighbors include ``src``; d(v, u) is the length
 of the shortest directed path *from u to v*. The K-hop membership of
@@ -18,11 +23,15 @@ v. The edge set kept for v is every in-edge of a member at distance
 """
 from __future__ import annotations
 
+import functools
+import os
+import sys
+import zipimport
 from typing import Iterator
 
 import numpy as np
 import pyarrow as pa
-from pyspark import StorageLevel
+from pyspark import SparkFiles, StorageLevel, TaskContext
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -33,22 +42,35 @@ from .sampling import sample_in_edges
 NODE, EDGE = 0, 1
 
 
+def _concat(parts: list[pa.RecordBatch]) -> pa.RecordBatch:
+    """``parts`` (same schema, not all empty) as one batch."""
+    if len(parts) == 1:
+        return parts[0]
+    return pa.Table.from_batches(parts).combine_chunks().to_batches()[0]
+
+
 def _key_groups(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
     """Re-cut a key-sorted Arrow stream so no key group spans two
-    batches: each batch's trailing group is carried into the next."""
-    carry = None
+    batches. Each batch's trailing group is held back, as a list of
+    slices, until a batch shows it has ended, and is then joined once
+    (with the rows before that batch's cut, if the group ends there), so
+    a key group spread over many batches costs time linear in its rows."""
+    held: list[pa.RecordBatch] = []  # slices of the unfinished trailing group
     for rb in batches:
         if rb.num_rows == 0:
             continue
-        if carry is not None:
-            rb = pa.Table.from_batches([carry, rb]).combine_chunks().to_batches()[0]
         keys = rb.column("key").to_numpy()
         cut = int(np.searchsorted(keys, keys[-1], side="left"))
+        if held and keys[0] != tail:  # the held group ended with the last batch
+            yield _concat(held)
+            held = []
         if cut:
-            yield rb.slice(0, cut)
-        carry = rb.slice(cut)
-    if carry is not None:
-        yield carry
+            yield _concat([*held, rb.slice(0, cut)])
+            held = []
+        held.append(rb.slice(cut))
+        tail = keys[-1]
+    if held:
+        yield _concat(held)
 
 
 def _matrix(col: pa.ListArray) -> np.ndarray:
@@ -58,12 +80,45 @@ def _matrix(col: pa.ListArray) -> np.ndarray:
     return flat.reshape(n, flat.size // n if n else 0)
 
 
+def _keep_directory() -> None:
+    """``invalidate_caches`` of an archive that does not change."""
+
+
+def worker_entry(fn):
+    """``fn``, the body of a Python function Spark runs on its workers,
+    behind one guard against Python's per-task zip rescan.
+
+    Before every task PySpark's worker calls
+    ``importlib.invalidate_caches()``, and each ``zipimporter`` in
+    ``sys.path_importer_cache`` (one per imported package of Spark's
+    ``pyspark.zip``, plus ``py4j`` and the ``spark-core`` jar) then
+    re-reads its whole archive: about 0.2 s per task. Spark's install
+    does not change while the application runs, so on a worker this
+    sets ``invalidate_caches`` to a no-op on each such importer whose
+    archive lies outside :meth:`SparkFiles.getRootDirectory`, then calls
+    ``fn``. Archives shipped with ``addPyFile`` live under that root and
+    refresh as before. Workers are reused, so each task after a
+    worker's first skips the rescan. Off a worker (no task context) it
+    only calls ``fn``."""
+
+    @functools.wraps(fn)
+    def entry(*args, **kwargs):
+        if TaskContext.get() is not None:
+            root = os.path.join(SparkFiles.getRootDirectory(), "")
+            for finder in sys.path_importer_cache.values():
+                if isinstance(finder, zipimport.zipimporter) and not finder.archive.startswith(root):
+                    finder.invalidate_caches = _keep_directory
+        return fn(*args, **kwargs)
+
+    return entry
+
+
 def reduce_by_key(rows: DataFrame, order: list[str], fn, schema: str) -> DataFrame:
     """One MapReduce reduce: shuffle ``rows`` by ``key``, sort each
     partition by ``(key, *order)`` and run ``fn`` (Arrow batches →
     Arrow batches of ``schema``) over batches that hold whole key groups."""
     rows = rows.repartition("key").sortWithinPartitions("key", *order)
-    return rows.mapInArrow(lambda batches: fn(_key_groups(batches)), schema)
+    return rows.mapInArrow(worker_entry(lambda batches: fn(_key_groups(batches))), schema)
 
 
 def sampled_edges(edges: DataFrame, max_degree: int | None, **sampling) -> DataFrame:

@@ -24,9 +24,12 @@ reducer, expressed as DataFrame dataflow:
 
 :func:`run_original_inference` is the paper's "Original" baseline
 (Table 5): full K-layer forward over every stored GraphFeature, which
-recomputes embeddings wherever neighborhoods overlap. It uses the same
-Arrow encoding as GraphInfer, so Table 5 compares the algorithms.
-:func:`inference_cost_report` quantifies exactly that repetition.
+recomputes embeddings wherever neighborhoods overlap;
+:func:`inference_cost_report` quantifies exactly that repetition. It
+uses the same Arrow encoding as GraphInfer, and its forward runs
+through the same :func:`~repro.core.graphflat.worker_entry` as every
+GraphInfer reducer, which spares both paths Python's per-task rescan
+of Spark's zip archives; Table 5 therefore compares the algorithms.
 
 Sampling consistency: pass the *same* ``max_degree``/``strategy``/
 ``seed`` used by GraphFlat and the identical deterministic sampled edge
@@ -46,7 +49,14 @@ from pyspark.sql import functions as F
 from ..nn.edges import Edges
 from ..nn.models import layer_from_slice, slice_needs_self_loops
 from .graphfeature import SubgraphRecord
-from .graphflat import _matrix, khop_members, reduce_by_key, sampled_edges, subgraph_edges
+from .graphflat import (
+    _matrix,
+    khop_members,
+    reduce_by_key,
+    sampled_edges,
+    subgraph_edges,
+    worker_entry,
+)
 from .vectorize import merge_batch
 
 _ROW_SCHEMA = "key long, peer long, w double, kind tinyint, h array<double>"
@@ -135,6 +145,7 @@ def _round_fn(spec: dict, head_spec: dict | None):
 def _head_fn(spec: dict):
     """Map-only scoring of node features (a model with no GNN slice)."""
 
+    @worker_entry
     def fn(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         head = layer_from_slice(spec)
         for rb in batches:
@@ -214,6 +225,7 @@ def run_original_inference(
         raise ValueError(f"n_layers={n_layers}, but slices hold {len(slices) - 1} GNN layers")
     needs_self = [slice_needs_self_loops(s) for s in slices[:-1]]
 
+    @worker_entry
     def fn(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         layers = [layer_from_slice(s) for s in slices[:-1]]
         head = layer_from_slice(slices[-1])

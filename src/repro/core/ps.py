@@ -18,7 +18,9 @@ data-parallel — the paper's central claim. The PS maps onto Spark as:
   substitution for the paper's async PS is documented in DESIGN.md).
 
 After the first round, a round is one Spark job over the cached
-batches, one task per worker, with no shuffle.
+batches, one task per worker, with no shuffle. Both worker functions
+run through :func:`~repro.core.graphflat.worker_entry`, so a reused
+worker does not re-read Spark's zip archives before its task.
 
 A test asserts the reduced distributed gradient is numerically equal to
 the single-process gradient over the same records, which is the data-
@@ -37,6 +39,7 @@ from pyspark import RDD
 from pyspark.sql import DataFrame
 
 from ..nn.optim import Adam
+from .graphflat import worker_entry
 from .trainer import GraphTrainer, TrainConfig, batch_step
 
 #: frame → {(n_workers, batch-shaping config values): cached batch RDD}
@@ -46,6 +49,7 @@ _PREPARED: "weakref.WeakKeyDictionary[DataFrame, dict[tuple, RDD]]" = (
 _PREPARED_LOCK = threading.Lock()
 
 
+@worker_entry
 def _vectorize_partition(gf_blobs, cfg: TrainConfig, d_in: int):
     """Worker preparation: yields one ``(BatchGraph, adj)`` per
     ``cfg.batch_size`` encoded records of this partition.
@@ -62,6 +66,7 @@ def _vectorize_partition(gf_blobs, cfg: TrainConfig, d_in: int):
         yield tr.vectorize(blobs[i : i + cfg.batch_size])
 
 
+@worker_entry
 def _partition_gradients(batches, cfg: TrainConfig, d_in: int, params):
     """Worker body: full gradient of this partition at ``params``.
 

@@ -7,10 +7,12 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.graphfeature import collect_records
+from repro.core import graphflat
 from repro.core.graphflat import build_graph_features, khop_members, subgraph_edges
 from repro.graphs.generators import uug_lite
 from repro.oracle import assert_equivalent
@@ -217,6 +219,33 @@ def test_graph_features_independent_of_partitioning(spark):
             spark.conf.unset(k) if v is None else spark.conf.set(k, v)
     assert len(got[0]) == 40
     assert got[0] == got[1] == got[2]
+
+
+def test_key_groups_long_group_is_joined_once(monkeypatch):
+    """A key group spread over 40 batches comes out as one group with
+    every row in order, and the re-cut joins each emitted block at most
+    once (the held slices are not re-concatenated per batch)."""
+    keys = np.concatenate([[1, 1, 1], np.full(40 * 50 - 5, 5), [5, 5, 9, 9]])
+    table = pa.table({"key": keys, "pos": np.arange(keys.size)})
+    batches = table.to_batches(max_chunksize=50)
+    assert len(batches) == 41 and batches[-1].num_rows == 2  # the 9s alone
+    joins = []
+    concat = graphflat._concat
+
+    def counting(parts):
+        joins.append(len(parts))
+        return concat(parts)
+
+    monkeypatch.setattr(graphflat, "_concat", counting)
+    blocks = list(graphflat._key_groups(iter([batches[0].slice(0, 0), *batches])))
+    block_keys = [set(b.column("key").to_numpy()) for b in blocks]
+    assert sum(5 in k for k in block_keys) == 1
+    for i, a in enumerate(block_keys):  # no key group in two blocks
+        assert all(not a & b for b in block_keys[i + 1 :])
+    got = pa.Table.from_batches(blocks)
+    assert got.column("key").to_numpy().tolist() == keys.tolist()
+    assert got.column("pos").to_numpy().tolist() == list(range(keys.size))
+    assert len(joins) <= len(blocks)
 
 
 def _plan_ops_outside_cache(df) -> list[str]:
