@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 import pyarrow as pa
 from pyspark import SparkFiles, StorageLevel, TaskContext
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from .graphfeature import SubgraphRecord
@@ -121,13 +121,27 @@ def reduce_by_key(rows: DataFrame, order: list[str], fn, schema: str) -> DataFra
     return rows.mapInArrow(worker_entry(lambda batches: fn(_key_groups(batches))), schema)
 
 
-def sampled_edges(edges: DataFrame, max_degree: int | None, **sampling) -> DataFrame:
-    """The cached ``(src, dst, w)`` table a pipeline runs on, sampled
-    once if ``max_degree`` is set. Equal arguments give equal plans, so
-    GraphFlat and GraphInfer share one cached sample (§3.4); a plan the
-    cache manager already holds is returned without caching it again."""
+def sampled_edges(
+    nodes: DataFrame, edges: DataFrame, max_degree: int | None, *,
+    strategy: str = "uniform", seed: int = 0,
+) -> DataFrame:
+    """The cached ``(src, dst, w)`` table both pipelines run on, made
+    legal, then sampled if ``max_degree`` is set. The ingest contract:
+    edges with an endpoint missing from ``nodes`` are dropped, and of
+    duplicate ``(dst, src)`` edges the one with the largest ``w`` is
+    kept, by a Window that reuses the ``dst`` partitioning of the last
+    join, so the table stays hash-partitioned by ``dst``. Equal
+    arguments give equal plans, so GraphFlat and GraphInfer share one
+    cached table (§3.4), and a cached plan is not cached again."""
+    copies = Window.partitionBy("dst", "src").orderBy(F.desc("w"))
+    edges = (
+        edges.join(nodes, edges.src == nodes.id, "left_semi")
+        .join(nodes, F.col("dst") == nodes.id, "left_semi")
+        .withColumn("_rn", F.row_number().over(copies))
+        .filter("_rn = 1")
+    )
     if max_degree is not None:
-        edges = sample_in_edges(edges, max_degree, **sampling)
+        edges = sample_in_edges(edges, max_degree, strategy=strategy, seed=seed)
     edges = edges.select("src", "dst", "w")
     return edges if edges.storageLevel != StorageLevel.NONE else edges.cache()
 
@@ -217,26 +231,21 @@ def build_graph_features(
     max_degree: int | None = None,
     strategy: str = "uniform",
     seed: int = 0,
-    reindex_threshold: int | None = None,
 ) -> DataFrame:
     """The full GraphFlat pipeline → one GraphFeature record per target.
 
     Output schema: ``root long, gf binary``, where ``gf`` is the
     :meth:`~repro.core.graphfeature.SubgraphRecord.to_bytes` record:
     members sorted by id, edges by (src, dst, w), ``label`` from the
-    node table (a null label is empty). Edges with an endpoint missing
-    from the node table are dropped. Sampling (if ``max_degree``) is
-    applied to the edge table once, up front, so training and inference
-    see the same sampled graph.
+    node table (a null label is empty). The edge table is made legal and
+    sampled once, by :func:`sampled_edges`, which GraphInfer reads too.
 
     The assembly is one :func:`reduce_by_key` over rows keyed by root,
     columns ``(key, kind, u, v, w, feat, label)``: a node row is
     ``(NODE, id, dist)`` with its features and, on the root's own row
     only, the label; an edge row is ``(EDGE, src, dst, w)``.
     """
-    edges = sampled_edges(
-        edges, max_degree, strategy=strategy, seed=seed, reindex_threshold=reindex_threshold
-    )
+    edges = sampled_edges(nodes, edges, max_degree, strategy=strategy, seed=seed)
     members = khop_members(edges, targets, k)
     node_rows = members.join(nodes.select("id", "feat", "label"), "id").select(
         F.col("root").alias("key"),

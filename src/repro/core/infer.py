@@ -31,11 +31,10 @@ through the same :func:`~repro.core.graphflat.worker_entry` as every
 GraphInfer reducer, which spares both paths Python's per-task rescan
 of Spark's zip archives; Table 5 therefore compares the algorithms.
 
-Sampling consistency: pass the *same* ``max_degree``/``strategy``/
-``seed`` used by GraphFlat and the identical deterministic sampled edge
-set is used here (§3.4 last paragraph); both pipelines read it through
-:func:`~repro.core.graphflat.sampled_edges`, so they share one cached
-sample.
+Consistency of data processing (§3.4): with GraphFlat's ``max_degree``/
+``strategy``/``seed``, GraphInfer reads the same cached edge table,
+:func:`~repro.core.graphflat.sampled_edges`, made legal (no ghost
+endpoints, one copy of each duplicate edge) before it is sampled.
 """
 from __future__ import annotations
 
@@ -78,20 +77,13 @@ def _score_batch(ids: np.ndarray, scores: np.ndarray) -> pa.RecordBatch:
     )
 
 
-def _locate(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``keys`` in the sorted, non-empty ``ids``, and which
-    keys exist."""
-    pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
-    return pos, ids[pos] == keys
-
-
 def _round_fn(spec: dict, head_spec: dict | None):
     """The merge–apply–propagate reducer of one GNN round.
 
     Per block of complete key groups: self rows are the destinations
-    (local ids ``[0, b)``), message rows the senders (``[b, b+m)``);
-    rows whose key has no self row (edges to or from a node missing
-    from the node table) are dropped. The training layer's forward
+    (local ids ``[0, b)``), message rows the senders (``[b, b+m)``); every
+    key has a self row (:func:`~repro.core.graphflat.sampled_edges` keeps
+    only edges between nodes, once each). The training layer's forward
     computes the new embeddings, so served scores keep the training
     math. With ``head_spec`` the prediction slice is applied and
     ``(id, score)`` emitted; otherwise the next round's self rows and
@@ -109,14 +101,11 @@ def _round_fn(spec: dict, head_spec: dict | None):
             is_self, is_msg, is_out = kind == SELF, kind == MSG, kind == OUT
             ids = key[is_self]
             b = ids.size
-            if b == 0:
-                continue
             H = _matrix(rb.column("h"))  # the self and message rows, in row order
             has_h = ~is_out
-            dst, ok = _locate(ids, key[is_msg])
-            X = np.concatenate([H[is_self[has_h]], H[is_msg[has_h]][ok]])
+            X = np.concatenate([H[is_self[has_h]], H[is_msg[has_h]]])
             src = np.arange(b, X.shape[0])
-            dst, w_in = dst[ok], w[is_msg][ok]
+            dst, w_in = np.searchsorted(ids, key[is_msg]), w[is_msg]
             if loops:
                 own = np.arange(b)
                 src, dst = np.concatenate([src, own]), np.concatenate([dst, own])
@@ -125,14 +114,14 @@ def _round_fn(spec: dict, head_spec: dict | None):
             if head is not None:
                 yield _score_batch(ids, head.forward(Hn))
                 continue
-            at, ok = _locate(ids, key[is_out])
-            at, to = at[ok], rb.column("peer").fill_null(0).to_numpy()[is_out][ok]
+            at = np.searchsorted(ids, key[is_out])
+            to = rb.column("peer").fill_null(0).to_numpy()[is_out]
             first = np.arange(b + to.size) < b  # self rows: null peer and w
             yield pa.RecordBatch.from_arrays(
                 [
                     pa.array(np.concatenate([ids, to])),
                     pa.array(np.concatenate([ids, ids[at]]), mask=first),
-                    pa.array(np.concatenate([np.ones(b), w[is_out][ok]]), mask=first),
+                    pa.array(np.concatenate([np.ones(b), w[is_out]]), mask=first),
                     pa.array(np.repeat(np.int8([SELF, MSG]), [b, to.size])),
                     _list_column(np.concatenate([Hn, Hn[at]])),
                 ],
@@ -184,7 +173,7 @@ def run_graph_infer(
     Returns (id, score: array<double>) for **every** node. ``slices``
     comes from :meth:`GNNModel.to_slices`.
     """
-    edges = sampled_edges(edges, max_degree, strategy=strategy, seed=seed)
+    edges = sampled_edges(nodes, edges, max_degree, strategy=strategy, seed=seed)
     gnn_slices, pred_slice = slices[:-1], slices[-1]
     if not gnn_slices:
         return nodes.select("id", "feat").mapInArrow(_head_fn(pred_slice), _SCORE_SCHEMA)

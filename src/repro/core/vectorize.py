@@ -90,11 +90,11 @@ def merge_batch(records: list[SubgraphRecord]) -> BatchGraph:
     np.minimum.at(dists, pos, gdist)
     X = gfeat[first]
 
-    es = np.concatenate([r.e_src for r in records]) if records else np.empty(0, np.int64)
+    es = np.concatenate([r.e_src for r in records])
     ed = np.concatenate([r.e_dst for r in records])
     ew = np.concatenate([r.e_w for r in records])
     ls, ld = np.searchsorted(uniq, es), np.searchsorted(uniq, ed)
-    # dedup edges on (dst, src); weights agree across records by construction
+    # dedup edges on (dst, src); one w per edge in graphflat.sampled_edges
     key = ld * uniq.shape[0] + ls
     order = np.argsort(key, kind="stable")
     keep = np.empty(order.shape[0], dtype=bool)
@@ -129,9 +129,9 @@ def whole_graph_batch(
     labels: np.ndarray,
 ) -> BatchGraph:
     """The in-memory whole-graph 'batch' the DGL/PyG stand-ins train on
-    (and the reference for Theorem-1 tests). Distances are 0 at targets
-    and +inf elsewhere only matter for pruning, which whole-graph
-    training does not use — set 0 everywhere."""
+    (and the reference for Theorem-1 tests). Distances only matter for
+    pruning, which whole-graph training does not use, so every node's
+    distance is 0."""
     order = np.lexsort((e_src, e_dst))
     lsrc = np.searchsorted(node_ids, e_src[order])
     ldst = np.searchsorted(node_ids, e_dst[order])

@@ -18,7 +18,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .core.graphfeature import collect_records, load_graph_features, store_graph_features
-from .core.graphflat import build_graph_features
+from .core.graphflat import build_graph_features, sampled_edges
 from .core.infer import inference_cost_report, run_graph_infer, run_original_inference
 from .core.trainer import (
     GraphTrainer,
@@ -333,12 +333,8 @@ def table5_run(
     n_gi = gi.count()
     t_graphinfer = time.perf_counter() - t0
 
-    from .core.sampling import sample_in_edges
-
-    sampled = sample_in_edges(edges_df, max_degree, seed=13)
-    costs = inference_cost_report(
-        sampled, all_targets, k, len(ds.nodes), sampled.count()
-    )
+    sampled = sampled_edges(nodes_df, edges_df, max_degree, seed=13)
+    costs = inference_cost_report(sampled, all_targets, k, len(ds.nodes), sampled.count())
     return dict(
         n_nodes=len(ds.nodes),
         n_edges=len(ds.edges),

@@ -261,6 +261,37 @@ def _plan_ops_outside_cache(df) -> list[str]:
     return ops
 
 
+def _edge_side_reads(plan: str) -> list[list[str]]:
+    """For each join on ``dst`` outside a cached relation, the operator
+    names from its ``dst`` side down to the first scan below it."""
+    lines = re.findall(r"(?m)^([\s:|+-]*)(?:\*\(\d+\) )?(\w+)(.*)$", plan)
+    depth = [len(d) for d, _, _ in lines]
+
+    def child(i: int, nth: int = 0) -> int:
+        kids = []
+        for j in range(i + 1, len(lines)):
+            if depth[j] <= depth[i]:
+                break
+            if depth[j] == depth[i] + 3:
+                kids.append(j)
+        return kids[nth]
+
+    reads, cached_at = [], None
+    for i, (_, op, rest) in enumerate(lines):
+        if cached_at is not None and depth[i] > cached_at:
+            continue
+        cached_at = depth[i] if op == "InMemoryRelation" else None
+        keys = re.match(r" \[(.*?)\], \[(.*?)\]", rest)
+        if "Join" not in op or not keys or "dst#" not in rest:
+            continue
+        j, ops = child(i, 0 if "dst#" in keys.group(1) else 1), []
+        while "Scan" not in lines[j][1]:
+            ops.append(lines[j][1])
+            j = child(j)
+        reads.append([*ops, lines[j][1]])
+    return reads
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_graph_features_plan_is_one_python_stage(spark, k):
     """GraphFlat assembles every record in one sorted Arrow reduce: one
@@ -275,3 +306,19 @@ def test_graph_features_plan_is_one_python_stage(spark, k):
     assert "ObjectHashAggregate" not in ops
     assert "Window" not in ops
     assert "InMemoryRelation" in ops
+    # the cached edge table stays hash-partitioned by dst: every join on
+    # dst reads it with no Exchange. An adaptive cached plan reports no
+    # partitioning before it runs, so the table is cached again, and the
+    # plan taken, with AQE off
+    aqe = "spark.sql.adaptive.enabled"
+    saved = spark.conf.get(aqe)
+    try:
+        spark.conf.set(aqe, "false")
+        graphflat.sampled_edges(nodes_df, edges_df, 4).unpersist()
+        gf = build_graph_features(nodes_df, edges_df, targets, k, max_degree=4)
+        reads = _edge_side_reads(gf._jdf.queryExecution().executedPlan().toString())
+    finally:
+        spark.conf.set(aqe, saved)
+    assert reads
+    for path in reads:
+        assert path[-1] == "InMemoryTableScan" and not any("Exchange" in op for op in path), path

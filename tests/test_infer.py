@@ -4,10 +4,13 @@ model kind; sampling consistency; cost accounting."""
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.graphfeature import store_graph_features, load_graph_features
 from repro.core.graphflat import build_graph_features
@@ -18,7 +21,7 @@ from repro.core.infer import (
 )
 from repro.core.sampling import sample_in_edges
 from repro.core.vectorize import whole_graph_batch
-from repro.graphs.generators import EDGE_SCHEMA, NODE_SCHEMA, uug_lite
+from repro.graphs.generators import EDGE_SCHEMA, NODE_SCHEMA, GraphDataset, uug_lite
 from repro.nn.models import NEEDS_SELF_LOOPS, GNNModel, layer_from_slice
 
 
@@ -163,6 +166,76 @@ def test_original_ignores_edges_from_unknown_nodes(spark, tmp_path, ghosts):
     np.testing.assert_allclose(orig, want, rtol=1e-8, atol=1e-8)
     gi = _scores(run_graph_infer(nodes_df, dirty_df, slices))
     np.testing.assert_allclose(gi, want, rtol=1e-8, atol=1e-8)
+
+
+_MAX_DEGREE = 2
+
+
+@st.composite
+def _multigraphs(draw) -> GraphDataset:
+    """A small directed multigraph over nodes ``0..n-1``: duplicate edges
+    with different weights, edges from or to ids with no node row,
+    isolated nodes (``n-1`` has no edge between real nodes) and one hub
+    with more in-edges than ``_MAX_DEGREE``."""
+    n = draw(st.integers(6, 9))
+    real = st.integers(0, n - 2)
+    weight = st.floats(0.25, 4.0)
+    pairs = draw(st.lists(st.tuples(real, real).filter(lambda p: p[0] != p[1]), max_size=12))
+    hub = draw(real)
+    feeders = [u for u in range(n - 1) if u != hub][: _MAX_DEGREE + draw(st.integers(1, 3))]
+    pairs += [(u, hub) for u in feeders]
+    w = [draw(weight) for _ in pairs]
+    dups = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=4))
+    pairs += [pairs[i] for i in dups]
+    w += [w[i] + draw(st.sampled_from([-0.125, 0.5, 1.5])) for i in dups]
+    ghosts = draw(st.lists(
+        st.tuples(st.sampled_from([-2, -1, n, n + 1]), st.integers(0, n - 1), st.booleans()),
+        min_size=1, max_size=4,
+    ))
+    pairs += [(g, u) if into else (u, g) for g, u, into in ghosts]
+    w += [draw(weight) for _ in ghosts]
+    feats = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(n, 3))
+    nodes = pd.DataFrame({
+        "id": np.arange(n), "feat": feats.tolist(), "label": [[0.0]] * n, "split": ["train"] * n,
+    })
+    src, dst = np.array(pairs).T
+    edges = pd.DataFrame({"src": src, "dst": dst, "w": w}).sample(frac=1.0, random_state=n)
+    return GraphDataset("multigraph", "binary", 2, 3, nodes, edges.reset_index(drop=True))
+
+
+@settings(max_examples=4, deadline=None)
+@given(_multigraphs())
+def test_property_multigraphs_infer_equals_original_and_local(spark, ds):
+    """On multigraphs with ghost endpoints, isolated nodes and a hub,
+    GraphInfer and Original read one legal edge table: without sampling
+    both equal the local forward over the graph with ghost edges dropped
+    and each duplicate edge kept once with its largest weight; with
+    sampling they still equal each other."""
+    nodes_df, edges_df = ds.to_spark(spark)
+    legal = ds.edges[ds.edges["src"].isin(ds.nodes["id"]) & ds.edges["dst"].isin(ds.nodes["id"])]
+    canon = replace(ds, edges=legal.groupby(["src", "dst"], as_index=False)["w"].max())
+    models = {kind: _model(ds, kind, seed=4) for kind in ("gcn", "sage", "gat")}
+    parts = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(parts)
+    try:
+        spark.conf.set(parts, "4")
+        for max_degree in (None, _MAX_DEGREE):
+            gf = build_graph_features(
+                nodes_df, edges_df, nodes_df.select("id"), 2, max_degree=max_degree, seed=5
+            )
+            gf = spark.createDataFrame(gf.collect(), "root long, gf binary")
+            for kind, model in models.items():
+                slices = model.to_slices()
+                gi = run_graph_infer(nodes_df, edges_df, slices, max_degree=max_degree, seed=5)
+                gi = _scores(gi)
+                orig = _scores(run_original_inference(gf, slices, n_layers=2))
+                assert gi.shape == orig.shape == (len(ds.nodes),)
+                np.testing.assert_allclose(orig, gi, rtol=1e-8, atol=1e-8, err_msg=kind)
+                if max_degree is None:
+                    want = _local_scores(canon, model, kind)[:, 0]
+                    np.testing.assert_allclose(gi, want, rtol=1e-8, atol=1e-8, err_msg=kind)
+    finally:
+        spark.conf.set(parts, saved)
 
 
 @pytest.mark.parametrize("n_layers", [1, 3])
