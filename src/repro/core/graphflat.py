@@ -12,7 +12,8 @@ paper's literal merge/propagate Map/Reduce rounds (kept in
 :func:`worker_entry` wraps every Python function this package ships to
 Spark workers — the reducer :func:`reduce_by_key` runs, and the map-side
 functions of ``infer.py`` and ``ps.py`` — so a reused worker does not
-re-read Spark's own zip archives before each task.
+re-read Spark's own zip archives before each task. :func:`cached_on`
+owns the tables the pipelines cache, each freed with its frame.
 
 Direction convention (§2.1): an edge row (src, dst, w) is src → dst,
 so ``dst``'s in-edge neighbors include ``src``; d(v, u) is the length
@@ -26,13 +27,15 @@ from __future__ import annotations
 import functools
 import os
 import sys
+import threading
+import weakref
 import zipimport
 from typing import Iterator
 
 import numpy as np
 import pyarrow as pa
-from pyspark import SparkFiles, StorageLevel, TaskContext
-from pyspark.sql import DataFrame, Window
+from pyspark import SparkFiles, TaskContext
+from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from .graphfeature import SubgraphRecord
@@ -121,29 +124,56 @@ def reduce_by_key(rows: DataFrame, order: list[str], fn, schema: str) -> DataFra
     return rows.mapInArrow(worker_entry(lambda batches: fn(_key_groups(batches))), schema)
 
 
+_CACHED = weakref.WeakKeyDictionary()  # frame → {key: the cached table derived from it}
+_CACHED_LOCK = threading.Lock()
+
+
+def _unpersist(table, session: SparkSession) -> None:
+    if session.sparkContext._jsc is not None:  # the SparkContext has not been stopped
+        table.unpersist()
+
+
+def cached_on(frame: DataFrame, key: tuple, build):
+    """``build()`` (a DataFrame or an RDD), cached and memoized on the
+    ``frame`` object and ``key`` (a frame in ``key`` compares by identity):
+    a repeated call returns it without calling ``build``. It is unpersisted
+    when ``frame`` is collected; the application's end frees the rest."""
+    with _CACHED_LOCK:
+        memo = _CACHED.setdefault(frame, {})
+        if key not in memo:
+            memo[key] = table = build().cache()
+            weakref.finalize(frame, _unpersist, table, frame.sparkSession).atexit = False
+        return memo[key]
+
+
 def sampled_edges(
     nodes: DataFrame, edges: DataFrame, max_degree: int | None, *,
     strategy: str = "uniform", seed: int = 0,
 ) -> DataFrame:
     """The cached ``(src, dst, w)`` table both pipelines run on, made
     legal, then sampled if ``max_degree`` is set. The ingest contract:
-    edges with an endpoint missing from ``nodes`` are dropped, and of
-    duplicate ``(dst, src)`` edges the one with the largest ``w`` is
-    kept, by a Window that reuses the ``dst`` partitioning of the last
-    join, so the table stays hash-partitioned by ``dst``. Equal
-    arguments give equal plans, so GraphFlat and GraphInfer share one
-    cached table (§3.4), and a cached plan is not cached again."""
-    copies = Window.partitionBy("dst", "src").orderBy(F.desc("w"))
-    edges = (
-        edges.join(nodes, edges.src == nodes.id, "left_semi")
-        .join(nodes, F.col("dst") == nodes.id, "left_semi")
-        .withColumn("_rn", F.row_number().over(copies))
-        .filter("_rn = 1")
-    )
-    if max_degree is not None:
-        edges = sample_in_edges(edges, max_degree, strategy=strategy, seed=seed)
-    edges = edges.select("src", "dst", "w")
-    return edges if edges.storageLevel != StorageLevel.NONE else edges.cache()
+    a null, NaN or infinite ``w`` raises ``ValueError``; edges with an
+    endpoint missing from ``nodes`` are dropped; of duplicate ``(dst,
+    src)`` edges the one with the largest ``w`` is kept, by a Window that
+    reuses the ``dst`` partitioning of the last join, so the table stays
+    hash-partitioned by ``dst``. Memoized by :func:`cached_on` on both
+    frames and the options: GraphFlat and GraphInfer share it (§3.4)."""
+    def build() -> DataFrame:
+        bad = edges.filter("w IS NULL OR isnan(w) OR abs(w) = double('inf')").count()
+        if bad:
+            raise ValueError(f"sampled_edges: {bad} edges have a null, NaN or infinite w")
+        copies = Window.partitionBy("dst", "src").orderBy(F.desc("w"))
+        legal = (
+            edges.join(nodes, edges.src == nodes.id, "left_semi")
+            .join(nodes, F.col("dst") == nodes.id, "left_semi")
+            .withColumn("_rn", F.row_number().over(copies))
+            .filter("_rn = 1")
+        )
+        if max_degree is not None:
+            legal = sample_in_edges(legal, max_degree, strategy=strategy, seed=seed)
+        return legal.select("src", "dst", "w")
+
+    return cached_on(edges, ("sampled_edges", nodes, max_degree, strategy, seed), build)
 
 
 def khop_members(edges: DataFrame, targets: DataFrame, k: int) -> DataFrame:

@@ -31,10 +31,10 @@ through the same :func:`~repro.core.graphflat.worker_entry` as every
 GraphInfer reducer, which spares both paths Python's per-task rescan
 of Spark's zip archives; Table 5 therefore compares the algorithms.
 
-Consistency of data processing (§3.4): with GraphFlat's ``max_degree``/
-``strategy``/``seed``, GraphInfer reads the same cached edge table,
-:func:`~repro.core.graphflat.sampled_edges`, made legal (no ghost
-endpoints, one copy of each duplicate edge) before it is sampled.
+Consistency of data processing (§3.4): on GraphFlat's frames and
+options, GraphInfer reads the same cached edge table,
+:func:`~repro.core.graphflat.sampled_edges`, made legal (finite weights,
+no ghost endpoints, one copy of each duplicate edge) before sampling.
 """
 from __future__ import annotations
 

@@ -30,8 +30,6 @@ rests on.
 from __future__ import annotations
 
 import itertools
-import threading
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,14 +37,8 @@ from pyspark import RDD
 from pyspark.sql import DataFrame
 
 from ..nn.optim import Adam
-from .graphflat import worker_entry
+from .graphflat import cached_on, worker_entry
 from .trainer import GraphTrainer, TrainConfig, batch_step
-
-#: frame → {(n_workers, batch-shaping config values): cached batch RDD}
-_PREPARED: "weakref.WeakKeyDictionary[DataFrame, dict[tuple, RDD]]" = (
-    weakref.WeakKeyDictionary()
-)
-_PREPARED_LOCK = threading.Lock()
 
 
 @worker_entry
@@ -92,33 +84,17 @@ def _partition_gradients(batches, cfg: TrainConfig, d_in: int, params):
     yield (grads, loss_sum, n)
 
 
-def _unpersist(rdd: RDD) -> None:
-    if rdd.ctx._jsc is not None:  # the SparkContext has not been stopped
-        rdd.unpersist()
-
-
 def _prepared(gf: DataFrame, cfg: TrainConfig, d_in: int, n_workers: int) -> RDD:
     """The workers' data shards: ``gf``'s records split across
-    ``n_workers`` partitions once, vectorized once and cached.
-
-    Memoized per frame, on ``n_workers`` and the values of the config
-    fields that shape a batch (``TrainConfig`` is mutable, so the values
-    are snapshotted). ``d_in`` shapes no batch, so it is not part of
-    the key. The RDD is unpersisted when the frame is garbage-collected.
-    """
-    key = (n_workers, cfg.batch_size, cfg.n_layers, cfg.kind, cfg.pruning)
-    with _PREPARED_LOCK:
-        memo = _PREPARED.setdefault(gf, {})
-        if key not in memo:
-            cfg = replace(cfg)
-            rdd = (
-                gf.select("gf").rdd.map(lambda r: r["gf"]).repartition(n_workers)
-                .mapPartitions(lambda it: _vectorize_partition(it, cfg, d_in))
-                .cache()
-            )
-            weakref.finalize(gf, _unpersist, rdd).atexit = False  # the app's end frees it
-            memo[key] = rdd
-        return memo[key]
+    ``n_workers`` partitions once, vectorized once and cached by
+    :func:`~repro.core.graphflat.cached_on` on the frame, ``n_workers``
+    and the batch-shaping config values (``d_in`` shapes no batch)."""
+    key = ("ps", n_workers, cfg.batch_size, cfg.n_layers, cfg.kind, cfg.pruning)
+    snap = replace(cfg)  # TrainConfig is mutable
+    return cached_on(gf, key, lambda: (
+        gf.select("gf").rdd.map(lambda r: r["gf"]).repartition(n_workers)
+        .mapPartitions(lambda it: _vectorize_partition(it, snap, d_in))
+    ))
 
 
 def _merge(a, b):

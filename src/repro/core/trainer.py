@@ -72,9 +72,7 @@ class TrainConfig:
         return m
 
     def aggregator(self) -> Aggregator:
-        if self.partition:
-            return Aggregator("partitioned", threads=True)
-        return Aggregator("add_at")
+        return Aggregator("partitioned" if self.partition else "add_at")
 
 
 def batch_step(model: GNNModel, bg: BatchGraph, adj: list[Edges]) -> tuple[float, int]:

@@ -11,10 +11,10 @@ CPU trade-off with two kernels:
                     PyG stand-in and AGL without ``partition`` use it).
 - ``partitioned`` — destination-sorted segment reduction via
                     ``np.add.reduceat`` over ``t`` destination-disjoint
-                    partitions, optionally on real threads. This is
-                    AGL's edge-partitioning kernel; the DGL stand-in
-                    runs it threaded too. ``t`` and the thread pool
-                    default to the machine's core count.
+                    partitions, on real threads. This is AGL's
+                    edge-partitioning kernel; the DGL stand-in runs it
+                    too. ``t`` and the thread pool default to the
+                    machine's core count.
 
 The kernel choice applies to the ``[m, d]`` row reductions
 (:meth:`Aggregator.gather_scale_reduce`). A 1-D segment sum (the GAT
@@ -97,16 +97,12 @@ class Aggregator:
     ----------
     kind : {"add_at", "partitioned"}
     n_partitions : number of destination-disjoint partitions for the
-        ``partitioned`` kernel; one per core by default.
-    threads : run partitions on a thread pool (real parallelism for the
-        memory-bound reduction since numpy releases the GIL in
-        ``reduceat``); single-threaded partitioning is still faster
-        than ``np.add.at`` because reduceat is an unbuffered segment sum.
+        ``partitioned`` kernel, run on a thread pool (numpy releases the
+        GIL in ``reduceat``); one per core by default.
     """
 
     kind: str = "partitioned"
     n_partitions: int = N_CORES
-    threads: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -154,11 +150,10 @@ class Aggregator:
             out[uniq[s_lo:s_hi]] = np.add.reduceat(vals, seg - lo, axis=0)
 
         spans = edge_partitions(m, starts, self.n_partitions)
-        if self.threads and len(spans) > 1:
+        if len(spans) > 1:
             list(_pool().map(lambda s: reduce_span(*s), spans))
         else:
-            for lo, hi in spans:
-                reduce_span(lo, hi)
+            reduce_span(*spans[0])
         return out
 
     @staticmethod

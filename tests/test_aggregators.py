@@ -59,13 +59,12 @@ def test_scatter_add_1d(kind):
         assert got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("threads", [False, True])
 @pytest.mark.parametrize("t", [1, 2, 3, 8, 64])
-def test_partitioned_any_partition_count(t, threads):
+def test_partitioned_any_partition_count(t):
     rng = np.random.default_rng(t)
     dst, vals = _sorted_edges(rng, 20, 300)
     ref = _row_sum(Aggregator(kind="add_at"), vals, dst, 20)
-    got = _row_sum(Aggregator(kind="partitioned", n_partitions=t, threads=threads), vals, dst, 20)
+    got = _row_sum(Aggregator(kind="partitioned", n_partitions=t), vals, dst, 20)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 

@@ -3,6 +3,7 @@ literal message-passing pipeline vs the frontier pipeline, and the
 subgraph edge-set rule (in-edges of members at distance ≤ K−1)."""
 from __future__ import annotations
 
+import gc
 import re
 
 import numpy as np
@@ -248,17 +249,23 @@ def test_key_groups_long_group_is_joined_once(monkeypatch):
     assert len(joins) <= len(blocks)
 
 
-def _plan_ops_outside_cache(df) -> list[str]:
-    """Operator names of ``df``'s executed plan, leaving out the plans
-    of cached relations (they run once, when the cache fills)."""
-    plan = df._jdf.queryExecution().executedPlan().toString()
-    ops, cached_at = [], None
-    for depth, op in re.findall(r"(?m)^([\s:|+-]*)(\w+)", plan):
+def _plan_rows_outside_cache(plan: str) -> list[tuple[str, str]]:
+    """(operator name, rest of its line) of each operator in ``plan``,
+    leaving out the plans of cached relations (they run once, when the
+    cache fills)."""
+    rows, cached_at = [], None
+    for depth, op, rest in re.findall(r"(?m)^([\s:|+-]*)(\w+)(.*)$", plan):
         if cached_at is not None and len(depth) > cached_at:
             continue
         cached_at = len(depth) if op == "InMemoryRelation" else None
-        ops.append(op)
-    return ops
+        rows.append((op, rest))
+    return rows
+
+
+def _plan_ops_outside_cache(df) -> list[str]:
+    """Operator names of ``df``'s executed plan, outside cached relations."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    return [op for op, _ in _plan_rows_outside_cache(plan)]
 
 
 def _edge_side_reads(plan: str) -> list[list[str]]:
@@ -308,13 +315,14 @@ def test_graph_features_plan_is_one_python_stage(spark, k):
     assert "InMemoryRelation" in ops
     # the cached edge table stays hash-partitioned by dst: every join on
     # dst reads it with no Exchange. An adaptive cached plan reports no
-    # partitioning before it runs, so the table is cached again, and the
-    # plan taken, with AQE off
+    # partitioning before it runs, so the memoized table is unpersisted
+    # and fresh frames, with AQE off, cache it again and give the plan
     aqe = "spark.sql.adaptive.enabled"
     saved = spark.conf.get(aqe)
     try:
         spark.conf.set(aqe, "false")
         graphflat.sampled_edges(nodes_df, edges_df, 4).unpersist()
+        nodes_df, edges_df = ds.to_spark(spark)
         gf = build_graph_features(nodes_df, edges_df, targets, k, max_degree=4)
         reads = _edge_side_reads(gf._jdf.queryExecution().executedPlan().toString())
     finally:
@@ -322,3 +330,55 @@ def test_graph_features_plan_is_one_python_stage(spark, k):
     assert reads
     for path in reads:
         assert path[-1] == "InMemoryTableScan" and not any("Exchange" in op for op in path), path
+
+
+def test_graph_features_final_aqe_plan_shuffles_edges_by_dst_at_most_once(spark):
+    """Under AQE (the setting of the jobs and of this suite) the final
+    plan, taken after the run, shuffles by ``dst`` at most once outside
+    the cached edge table: the joins on ``dst`` read the table as it is
+    partitioned."""
+    ds = uug_lite(n=60, seed=16)
+    nodes_df, edges_df = ds.to_spark(spark)
+    targets = spark.createDataFrame(pd.DataFrame({"id": ds.split_ids("train")[:10]}))
+    gf = build_graph_features(nodes_df, edges_df, targets, 2, max_degree=4)
+    gf.collect()
+    plan = gf._jdf.queryExecution().executedPlan().toString()
+    assert plan.startswith("AdaptiveSparkPlan isFinalPlan=true")
+    final = plan.split("\n+- == Initial Plan ==")[0]
+    exchanges = [rest for op, rest in _plan_rows_outside_cache(final) if op == "Exchange"]
+    assert exchanges
+    assert sum(rest.startswith(" hashpartitioning(dst#") for rest in exchanges) <= 1
+
+
+def _persistent_rdds(sc) -> int:
+    return sc._jsc.getPersistentRDDs().size()
+
+
+def test_sampled_edges_memo_key_and_lifetime(spark):
+    """Equal (edges frame, nodes frame, max_degree, strategy, seed) →
+    one cached table; any of them changed → another. Dropping the
+    frames unpersists them."""
+    ds = uug_lite(n=60, seed=17)
+    sc = spark.sparkContext
+    gc.collect()
+    before = _persistent_rdds(sc)
+    nodes_df, edges_df = ds.to_spark(spark)
+    nodes2, edges2 = ds.to_spark(spark)  # equal data, other frames
+    a = graphflat.sampled_edges(nodes_df, edges_df, 4, seed=3)
+    assert a.is_cached
+    assert graphflat.sampled_edges(nodes_df, edges_df, 4, strategy="uniform", seed=3) is a
+    others = [
+        graphflat.sampled_edges(nodes2, edges_df, 4, seed=3),
+        graphflat.sampled_edges(nodes_df, edges2, 4, seed=3),
+        graphflat.sampled_edges(nodes_df, edges_df, 5, seed=3),
+        graphflat.sampled_edges(nodes_df, edges_df, None, seed=3),
+        graphflat.sampled_edges(nodes_df, edges_df, 4, strategy="weighted", seed=3),
+        graphflat.sampled_edges(nodes_df, edges_df, 4, seed=4),
+    ]
+    assert len({id(t) for t in [a, *others]}) == 7
+    for t in [a, *others]:
+        t.count()
+    assert _persistent_rdds(sc) > before
+    del nodes_df, edges_df, nodes2, edges2, a, others
+    gc.collect()
+    assert _persistent_rdds(sc) == before

@@ -11,8 +11,10 @@ import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
 from repro.core.graphfeature import store_graph_features, load_graph_features
+from repro.core import graphflat
 from repro.core.graphflat import build_graph_features
 from repro.core.infer import (
     inference_cost_report,
@@ -166,6 +168,54 @@ def test_original_ignores_edges_from_unknown_nodes(spark, tmp_path, ghosts):
     np.testing.assert_allclose(orig, want, rtol=1e-8, atol=1e-8)
     gi = _scores(run_graph_infer(nodes_df, dirty_df, slices))
     np.testing.assert_allclose(gi, want, rtol=1e-8, atol=1e-8)
+
+
+def test_pipelines_reject_non_finite_edge_weights(spark):
+    """The ingest contract: GraphInfer and GraphFlat raise, before any
+    sampling, on an edge whose weight is null, NaN or infinite (it used
+    to give its destination a NaN score); w ≤ 0 stays legal for uniform
+    sampling."""
+    rng = np.random.default_rng(3)
+    nodes = pd.DataFrame({
+        "id": np.arange(4), "feat": rng.normal(size=(4, 3)).tolist(),
+        "label": [[0.0]] * 4, "split": ["train"] * 4,
+    })
+    nodes_df = spark.createDataFrame(nodes, schema=NODE_SCHEMA)
+    edges = pd.DataFrame({"src": [0, 2, 3], "dst": [1, 1, 2], "w": [1.0, -1.0, 1.0]})
+    legal = spark.createDataFrame(edges, schema=EDGE_SCHEMA)
+    slices = GNNModel("gcn", 3, 4, 1, 2, "binary", seed=2).to_slices()
+    assert np.isfinite(_scores(run_graph_infer(nodes_df, legal, slices))).all()
+    msg = "sampled_edges: 1 edges have a null, NaN or infinite w"
+    for bad_w in (None, float("nan"), float("inf"), float("-inf")):
+        w = F.when(F.col("src") == 2, F.lit(bad_w).cast("double")).otherwise(F.col("w"))
+        bad = legal.withColumn("w", w)  # the 2 → 1 edge's weight
+        # weighted sampling's own check would raise another message
+        for opts in ({}, {"max_degree": 1}, {"max_degree": 1, "strategy": "weighted"}):
+            with pytest.raises(ValueError, match=msg):
+                run_graph_infer(nodes_df, bad, slices, **opts)
+            with pytest.raises(ValueError, match=msg):
+                build_graph_features(nodes_df, bad, nodes_df.select("id"), 2, **opts)
+
+
+def test_pipelines_on_the_same_frames_sample_once(spark, monkeypatch):
+    """GraphFlat and GraphInfer called on the same frames with the same
+    sampling options share one sampled edge table: two GraphFlat runs
+    and one GraphInfer run sample the edges once."""
+    ds = uug_lite(n=60, seed=18)
+    nodes_df, edges_df = ds.to_spark(spark)
+    targets = spark.createDataFrame(pd.DataFrame({"id": ds.split_ids("train")[:10]}))
+    calls = []
+    sample = graphflat.sample_in_edges
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(graphflat, "sample_in_edges", counting)
+    for _ in range(2):
+        build_graph_features(nodes_df, edges_df, targets, 2, max_degree=4, seed=3).collect()
+    run_graph_infer(nodes_df, edges_df, _model(ds, "gcn").to_slices(), max_degree=4, seed=3).collect()
+    assert len(calls) == 1
 
 
 _MAX_DEGREE = 2
