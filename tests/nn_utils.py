@@ -1,6 +1,9 @@
 """Shared helpers for nn-substrate tests: random graphs + gradcheck."""
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from repro.nn.edges import Edges
@@ -13,6 +16,25 @@ def random_edges(n_nodes: int, m: int, seed: int = 0, self_loops: bool = False) 
     w = rng.random(m) + 0.1
     e = Edges.from_arrays(src, dst, w, n_nodes)
     return e.with_self_loops() if self_loops else e
+
+
+def run_callers(fn, concurrent: bool, n_callers: int = 4) -> list:
+    """``[fn(0), ..., fn(n_callers - 1)]``, one call after another, or,
+    with ``concurrent``, from ``n_callers`` threads released together.
+    Every ``partitioned`` call maps its spans onto the kernel module's
+    one shared pool, so overlapping callers must each get their own
+    result. Raises what any call raises."""
+    if not concurrent:
+        return [fn(i) for i in range(n_callers)]
+    start = threading.Barrier(n_callers, timeout=30)
+
+    def call(i):
+        start.wait()
+        return fn(i)
+
+    with ThreadPoolExecutor(max_workers=n_callers) as callers:
+        futures = [callers.submit(call, i) for i in range(n_callers)]
+        return [f.result(timeout=60) for f in futures]
 
 
 def numerical_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.aggregators import Aggregator, edge_partitions, segment_starts
+from tests.nn_utils import run_callers
 
 KINDS = ["add_at", "partitioned"]
 
@@ -59,13 +60,20 @@ def test_scatter_add_1d(kind):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("concurrent", [False, True])
 @pytest.mark.parametrize("t", [1, 2, 3, 8, 64])
-def test_partitioned_any_partition_count(t):
-    rng = np.random.default_rng(t)
-    dst, vals = _sorted_edges(rng, 20, 300)
-    ref = _row_sum(Aggregator(kind="add_at"), vals, dst, 20)
-    got = _row_sum(Aggregator(kind="partitioned", n_partitions=t), vals, dst, 20)
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+def test_partitioned_any_partition_count(t, concurrent):
+    """``partitioned`` equals ``add_at`` for any partition count, also
+    when callers with different edges overlap on the shared kernel pool."""
+
+    def check(i):
+        rng = np.random.default_rng(t + 1000 * i)
+        dst, vals = _sorted_edges(rng, 20, 300)
+        ref = _row_sum(Aggregator(kind="add_at"), vals, dst, 20)
+        got = _row_sum(Aggregator(kind="partitioned", n_partitions=t), vals, dst, 20)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    run_callers(check, concurrent)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -9,7 +9,7 @@ from repro.core.vectorize import BatchGraph
 from repro.nn.aggregators import Aggregator
 from repro.nn.edges import Edges
 from repro.nn.layers import DenseLayer, GATLayer, GCNLayer, SAGELayer
-from tests.nn_utils import gat_backward_edgewise, layer_gradcheck, random_edges
+from tests.nn_utils import gat_backward_edgewise, layer_gradcheck, random_edges, run_callers
 
 
 def _X(n, d, seed=0):
@@ -162,23 +162,29 @@ def _oracle_adjacency(which: str) -> Edges:
     return adj[1]
 
 
+@pytest.mark.parametrize("concurrent", [False, True])
 @pytest.mark.parametrize("kind", ["add_at", "partitioned"])
 @pytest.mark.parametrize("which", ["full", "pruned-l1"])
-def test_gat_backward_matches_edgewise_oracle(which, kind):
+def test_gat_backward_matches_edgewise_oracle(which, kind, concurrent):
     """The factored GAT backward (score gradients through per-node sums)
-    equals the edge-wise reference in every grad and in dX."""
+    equals the edge-wise reference in every grad and in dX, also when
+    layers with different inputs overlap on the shared kernel pool."""
     e = _oracle_adjacency(which)
-    lyr = GATLayer(5, 3, n_heads=2, act="elu", seed=17)
-    lyr.agg = Aggregator(kind=kind, n_partitions=3)
-    X = _X(9, 5, seed=18)
-    R = np.random.default_rng(19).standard_normal((9, 6))
-    lyr.zero_grad()
-    lyr.forward(X, e)
-    dX = lyr.backward(R)
-    ref_grads, ref_dX = gat_backward_edgewise(lyr, R)
-    np.testing.assert_allclose(dX, ref_dX, rtol=1e-10, atol=1e-10)
-    for name, g in ref_grads.items():
-        np.testing.assert_allclose(lyr.grads[name], g, rtol=1e-10, atol=1e-10, err_msg=name)
+
+    def check(i):
+        lyr = GATLayer(5, 3, n_heads=2, act="elu", seed=17 + 100 * i)
+        lyr.agg = Aggregator(kind=kind, n_partitions=3)
+        X = _X(9, 5, seed=18 + 100 * i)
+        R = np.random.default_rng(19 + 100 * i).standard_normal((9, 6))
+        lyr.zero_grad()
+        lyr.forward(X, e)
+        dX = lyr.backward(R)
+        ref_grads, ref_dX = gat_backward_edgewise(lyr, R)
+        np.testing.assert_allclose(dX, ref_dX, rtol=1e-10, atol=1e-10)
+        for name, g in ref_grads.items():
+            np.testing.assert_allclose(lyr.grads[name], g, rtol=1e-10, atol=1e-10, err_msg=name)
+
+    run_callers(check, concurrent)
 
 
 def test_dense_gradcheck():
