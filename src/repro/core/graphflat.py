@@ -3,17 +3,22 @@
 :func:`khop_members` + :func:`build_graph_features` are the
 root-anchored frontier formulation of the pipeline: K iterated
 ``join``/``groupBy`` rounds over (root, member) pairs, then one keyed
-sorted reduce (:func:`reduce_by_key`, the reduce every GraphInfer round
-runs too) that assembles each root's member and edge rows into one
-GraphFeature record. Tests assert the neighborhoods equal those of the
-paper's literal merge/propagate Map/Reduce rounds (kept in
-``tests/graphflat_reference.py``) and of a DuckDB recursive-CTE BFS.
+sorted reduce (:func:`sort_by_key` and :func:`reduce_by_key`, the reduce
+every GraphInfer round runs too) that assembles each root's member and
+edge rows into one GraphFeature record. Tests assert the neighborhoods
+equal those of the paper's literal merge/propagate Map/Reduce rounds
+(kept in ``tests/graphflat_reference.py``) and of a DuckDB
+recursive-CTE BFS.
 
 :func:`worker_entry` wraps every Python function this package ships to
 Spark workers — the reducer :func:`reduce_by_key` runs, and the map-side
 functions of ``infer.py`` and ``ps.py`` — so a reused worker does not
 re-read Spark's own zip archives before each task. :func:`cached_on`
-owns the tables the pipelines cache, each freed with its frame.
+is the one memo of what the pipelines derive from their input frames:
+the tables they cache, each freed when the last frame holding it is
+collected, and the model-independent plans of GraphFlat and
+GraphInfer, built once per frames and options. Each call adds its own
+reducer on top, so Spark plans it under the current conf.
 
 Direction convention (§2.1): an edge row (src, dst, w) is src → dst,
 so ``dst``'s in-edge neighbors include ``src``; d(v, u) is the length
@@ -24,6 +29,7 @@ v. The edge set kept for v is every in-edge of a member at distance
 """
 from __future__ import annotations
 
+import collections
 import functools
 import os
 import sys
@@ -35,7 +41,7 @@ from typing import Iterator
 import numpy as np
 import pyarrow as pa
 from pyspark import SparkFiles, TaskContext
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from .graphfeature import SubgraphRecord
@@ -116,34 +122,69 @@ def worker_entry(fn):
     return entry
 
 
-def reduce_by_key(rows: DataFrame, order: list[str], fn, schema: str) -> DataFrame:
-    """One MapReduce reduce: shuffle ``rows`` by ``key``, sort each
-    partition by ``(key, *order)`` and run ``fn`` (Arrow batches →
-    Arrow batches of ``schema``) over batches that hold whole key groups."""
-    rows = rows.repartition("key").sortWithinPartitions("key", *order)
+def sort_by_key(rows: DataFrame, order: list[str]) -> DataFrame:
+    """The shuffle-and-sort half of one MapReduce reduce: ``rows``
+    shuffled by ``key``, each partition sorted by ``(key, *order)``."""
+    return rows.repartition("key").sortWithinPartitions("key", *order)
+
+
+def reduce_by_key(rows: DataFrame, fn, schema: str) -> DataFrame:
+    """The reduce over ``rows`` from :func:`sort_by_key`: ``fn`` (Arrow
+    batches → Arrow batches of ``schema``) runs over whole key groups.
+    Each call is a fresh DataFrame, planned under the current conf even
+    when ``rows`` is memoized (a DataFrame keeps its first physical plan)."""
     return rows.mapInArrow(worker_entry(lambda batches: fn(_key_groups(batches))), schema)
 
 
-_CACHED = weakref.WeakKeyDictionary()  # frame → {key: the cached table derived from it}
-_CACHED_LOCK = threading.Lock()
+_MEMO = weakref.WeakKeyDictionary()  # frame → {key: a frame or cached table derived from it}
+_LOCK = threading.Lock()
+_HOLDERS = collections.Counter()  # Spark cache entry → live memo entries that cached it
+_RELEASED = collections.deque()  # (cache entry, table, session) of collected frames
 
 
-def _unpersist(table, session: SparkSession) -> None:
-    if session.sparkContext._jsc is not None:  # the SparkContext has not been stopped
-        table.unpersist()
+def _release(*collected) -> None:
+    """Queue the holds of ``collected`` frames, then drop every queued
+    hold and unpersist a cache entry when its last holder goes. Frames'
+    finalizers call this, also from a GC inside :func:`cached_on`, so it
+    never waits for the lock: the lock's holder releases the queue after."""
+    _RELEASED.extend(collected)
+    while _RELEASED and _LOCK.acquire(blocking=False):
+        try:
+            while _RELEASED:
+                entry, table, session = _RELEASED.popleft()
+                _HOLDERS[entry] -= 1
+                if not _HOLDERS[entry]:
+                    del _HOLDERS[entry]
+                    if session.sparkContext._jsc is not None:  # the context is not stopped
+                        table.unpersist()
+        finally:
+            _LOCK.release()
 
 
-def cached_on(frame: DataFrame, key: tuple, build):
-    """``build()`` (a DataFrame or an RDD), cached and memoized on the
-    ``frame`` object and ``key`` (a frame in ``key`` compares by identity):
-    a repeated call returns it without calling ``build``. It is unpersisted
-    when ``frame`` is collected; the application's end frees the rest."""
-    with _CACHED_LOCK:
-        memo = _CACHED.setdefault(frame, {})
-        if key not in memo:
-            memo[key] = table = build().cache()
-            weakref.finalize(frame, _unpersist, table, frame.sparkSession).atexit = False
-        return memo[key]
+def cached_on(frame: DataFrame, key: tuple, build, *, cache: bool = True):
+    """``build()`` memoized on the ``frame`` object and ``key`` (a frame in
+    ``key`` compares by identity): a repeated call returns it without
+    calling ``build``, which must not call this function itself.
+
+    Without ``cache`` the value is held as built: plain frames, whose
+    plans are then built once. With ``cache`` it is a DataFrame or an
+    RDD, cached. Memo entries over frames with equal data build equal
+    DataFrame plans, which Spark caches as one entry; that entry is
+    unpersisted when the last frame holding it is collected. The
+    application's end frees the rest."""
+    try:
+        with _LOCK:
+            memo = _MEMO.setdefault(frame, {})
+            if key not in memo:
+                memo[key] = value = build().cache() if cache else build()
+                if cache:
+                    entry = value.semanticHash() if isinstance(value, DataFrame) else value
+                    _HOLDERS[entry] += 1
+                    hold = (entry, value, frame.sparkSession)
+                    weakref.finalize(frame, _release, hold).atexit = False
+            return memo[key]
+    finally:
+        _release()
 
 
 def sampled_edges(
@@ -270,27 +311,36 @@ def build_graph_features(
     node table (a null label is empty). The edge table is made legal and
     sampled once, by :func:`sampled_edges`, which GraphInfer reads too.
 
-    The assembly is one :func:`reduce_by_key` over rows keyed by root,
-    columns ``(key, kind, u, v, w, feat, label)``: a node row is
-    ``(NODE, id, dist)`` with its features and, on the root's own row
-    only, the label; an edge row is ``(EDGE, src, dst, w)``.
+    The assembly is one keyed reduce over rows keyed by root, columns
+    ``(key, kind, u, v, w, feat, label)``: a node row is ``(NODE, id,
+    dist)`` with its features and, on the root's own row only, the label;
+    an edge row is ``(EDGE, src, dst, w)``. Everything up to and
+    including the rows' shuffle-and-sort is built once per frames and
+    options, memoized by :func:`cached_on` on ``edges``; each call adds
+    its own reducer.
     """
-    edges = sampled_edges(nodes, edges, max_degree, strategy=strategy, seed=seed)
-    members = khop_members(edges, targets, k)
-    node_rows = members.join(nodes.select("id", "feat", "label"), "id").select(
-        F.col("root").alias("key"),
-        F.lit(NODE).cast("tinyint").alias("kind"),
-        F.col("id").alias("u"),
-        F.col("dist").cast("long").alias("v"),
-        "feat",
-        F.when(F.col("id") == F.col("root"), F.col("label")).alias("label"),
-    )
-    edge_rows = subgraph_edges(edges, members, k).select(
-        F.col("root").alias("key"),
-        F.lit(EDGE).cast("tinyint").alias("kind"),
-        F.col("src").alias("u"),
-        F.col("dst").alias("v"),
-        "w",
-    )
-    rows = node_rows.unionByName(edge_rows, allowMissingColumns=True)
-    return reduce_by_key(rows, ["kind", "u", "v", "w"], _assemble, "root long, gf binary")
+    sampled = sampled_edges(nodes, edges, max_degree, strategy=strategy, seed=seed)
+
+    def build() -> DataFrame:
+        members = khop_members(sampled, targets, k)
+        node_rows = members.join(nodes.select("id", "feat", "label"), "id").select(
+            F.col("root").alias("key"),
+            F.lit(NODE).cast("tinyint").alias("kind"),
+            F.col("id").alias("u"),
+            F.col("dist").cast("long").alias("v"),
+            "feat",
+            F.when(F.col("id") == F.col("root"), F.col("label")).alias("label"),
+        )
+        edge_rows = subgraph_edges(sampled, members, k).select(
+            F.col("root").alias("key"),
+            F.lit(EDGE).cast("tinyint").alias("kind"),
+            F.col("src").alias("u"),
+            F.col("dst").alias("v"),
+            "w",
+        )
+        rows = node_rows.unionByName(edge_rows, allowMissingColumns=True)
+        return sort_by_key(rows, ["kind", "u", "v", "w"])
+
+    key = ("graphflat", nodes, targets, k, max_degree, strategy, seed)
+    rows = cached_on(edges, key, build, cache=False)
+    return reduce_by_key(rows, _assemble, "root long, gf binary")

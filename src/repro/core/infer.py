@@ -11,12 +11,14 @@ reducer, expressed as DataFrame dataflow:
   (``key`` = dst, ``peer`` = src; one ``edges ⋈ nodes`` join);
   *out-edge* rows give each node its routing (``key`` = src,
   ``peer`` = dst, null ``h``).
-- Reduce round k < K: one :func:`~repro.core.graphflat.reduce_by_key`
-  sorted by ``(key, kind, peer)``, the only shuffle of the round (the
-  keyed reduce lives in ``graphflat.py``; GraphFlat's assembly runs
-  it too). The reducer merges each node's messages, applies slice k with
-  the training layer's forward, and propagates: it emits the node's
-  next self row plus one message per out-edge row. Each embedding is
+- Reduce round k < K: one keyed reduce
+  (:func:`~repro.core.graphflat.sort_by_key` by ``(key, kind, peer)``,
+  the only shuffle of the round, then
+  :func:`~repro.core.graphflat.reduce_by_key`; both live in
+  ``graphflat.py``, and GraphFlat's assembly runs them too). The
+  reducer merges each node's messages, applies slice k with the
+  training layer's forward, and propagates: it emits the node's next
+  self row plus one message per out-edge row. Each embedding is
   computed exactly once — the property that makes GraphInfer beat
   per-GraphFeature inference.
 - Round K+1: the prediction slice, fused into the last GNN reducer
@@ -35,6 +37,12 @@ Consistency of data processing (§3.4): on GraphFlat's frames and
 options, GraphInfer reads the same cached edge table,
 :func:`~repro.core.graphflat.sampled_edges`, made legal (finite weights,
 no ghost endpoints, one copy of each duplicate edge) before sampling.
+
+The Map and round 0's shuffle-and-sort do not depend on the model:
+they are built once per frames and options, memoized by
+:func:`~repro.core.graphflat.cached_on`, and each call builds only its
+reducers and the later rounds' shuffles. Original's GraphFlat gets the
+same memo, so Table 5 compares the algorithms, not Python plan building.
 """
 from __future__ import annotations
 
@@ -50,9 +58,11 @@ from ..nn.models import layer_from_slice, slice_needs_self_loops
 from .graphfeature import SubgraphRecord
 from .graphflat import (
     _matrix,
+    cached_on,
     khop_members,
     reduce_by_key,
     sampled_edges,
+    sort_by_key,
     subgraph_edges,
     worker_entry,
 )
@@ -62,6 +72,9 @@ _ROW_SCHEMA = "key long, peer long, w double, kind tinyint, h array<double>"
 _SCORE_SCHEMA = "id long, score array<double>"
 #: row kinds of a round table; a key group sorts as self, messages, out-edges
 SELF, MSG, OUT = 0, 1, 2
+#: peer fixes the order a node's messages are summed in, so the scores
+#: do not depend on how rows arrive from the shuffle
+_ORDER = ["kind", "peer"]
 
 
 def _list_column(M: np.ndarray) -> pa.ListArray:
@@ -159,6 +172,19 @@ def _rows(
     )
 
 
+def _round_tables(nodes: DataFrame, edges: DataFrame, more_rounds: bool):
+    """The model-independent round tables over the sampled ``edges``:
+    round 0's rows (self and message rows, and the out-edge rows if
+    ``more_rounds`` follow), shuffled and sorted, and the out-edge rows
+    each later round but the last adds to its input."""
+    senders = nodes.select(F.col("id").alias("src"), "feat")
+    rows = _rows(nodes, "id", None, None, SELF, "feat").unionByName(
+        _rows(edges.join(senders, "src"), "dst", "src", "w", MSG, "feat")
+    )
+    out_edges = _rows(edges, "src", "dst", "w", OUT, None)
+    return sort_by_key(rows.unionByName(out_edges) if more_rounds else rows, _ORDER), out_edges
+
+
 def run_graph_infer(
     nodes: DataFrame,
     edges: DataFrame,
@@ -171,26 +197,26 @@ def run_graph_infer(
     """K+1-round MapReduce inference over the whole graph.
 
     Returns (id, score: array<double>) for **every** node. ``slices``
-    comes from :meth:`GNNModel.to_slices`.
+    comes from :meth:`GNNModel.to_slices`. The round tables and round
+    0's shuffle-and-sort are built once per frames and options, memoized
+    by :func:`~repro.core.graphflat.cached_on` on ``edges``; each call
+    adds its own reducers, the part that depends on the model.
     """
-    edges = sampled_edges(nodes, edges, max_degree, strategy=strategy, seed=seed)
+    sampled = sampled_edges(nodes, edges, max_degree, strategy=strategy, seed=seed)
     gnn_slices, pred_slice = slices[:-1], slices[-1]
     if not gnn_slices:
         return nodes.select("id", "feat").mapInArrow(_head_fn(pred_slice), _SCORE_SCHEMA)
-    senders = nodes.select(F.col("id").alias("src"), "feat")
-    rows = _rows(nodes, "id", None, None, SELF, "feat").unionByName(
-        _rows(edges.join(senders, "src"), "dst", "src", "w", MSG, "feat")
+    more_rounds = len(gnn_slices) > 1
+    key = ("graphinfer", nodes, max_degree, strategy, seed, more_rounds)
+    rows, out_edges = cached_on(
+        edges, key, lambda: _round_tables(nodes, sampled, more_rounds), cache=False
     )
-    out_edges = _rows(edges, "src", "dst", "w", OUT, None)
     for k, spec in enumerate(gnn_slices):
         last = k == len(gnn_slices) - 1
-        if not last:
-            rows = rows.unionByName(out_edges)
-        # peer fixes the order a node's messages are summed in, so the
-        # scores do not depend on how rows arrive from the shuffle
+        if k:
+            rows = sort_by_key(rows if last else rows.unionByName(out_edges), _ORDER)
         rows = reduce_by_key(
             rows,
-            ["kind", "peer"],
             _round_fn(spec, pred_slice if last else None),
             _SCORE_SCHEMA if last else _ROW_SCHEMA,
         )

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import gc
 import re
+import threading
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from pyspark import StorageLevel
 from pyspark.sql import functions as F
 
 from repro.core.graphfeature import collect_records
@@ -214,6 +216,9 @@ def test_graph_features_independent_of_partitioning(spark):
             spark.conf.set(batch, str(rows))
             spark.conf.set(parts, str(partitions))
             gf = build_graph_features(nodes_df, edges_df, targets, 2, max_degree=4, seed=3)
+            # the later settings reuse the memoized plan, and still plan
+            # under the current conf
+            assert key_partitions(gf) == {partitions}
             got.append({r["root"]: bytes(r["gf"]) for r in gf.collect()})
     finally:
         for k, v in saved.items():
@@ -247,6 +252,14 @@ def test_key_groups_long_group_is_joined_once(monkeypatch):
     assert got.column("key").to_numpy().tolist() == keys.tolist()
     assert got.column("pos").to_numpy().tolist() == list(range(keys.size))
     assert len(joins) <= len(blocks)
+
+
+def key_partitions(df) -> set[int]:
+    """The partition counts of the shuffles by ``key`` in ``df``'s
+    executed plan (one partition plans as ``SinglePartition``)."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    shuffles = r"Exchange (?:SinglePartition|hashpartitioning\(key#\d+L?, (\d+)\)), REPARTITION_BY_COL"
+    return {int(n or 1) for n in re.findall(shuffles, plan)}
 
 
 def _plan_rows_outside_cache(plan: str) -> list[tuple[str, str]]:
@@ -381,4 +394,60 @@ def test_sampled_edges_memo_key_and_lifetime(spark):
     assert _persistent_rdds(sc) > before
     del nodes_df, edges_df, nodes2, edges2, a, others
     gc.collect()
+    assert _persistent_rdds(sc) == before
+
+
+def test_equal_frames_share_one_cache_entry_until_the_last_is_dropped(spark):
+    """Two frame pairs with equal data build tables with equal plans,
+    which Spark caches as one entry: dropping one pair keeps that entry
+    cached for the other, and dropping both frees it."""
+    ds = uug_lite(n=60, seed=16)
+    sc = spark.sparkContext
+    gc.collect()
+    before = _persistent_rdds(sc)
+    first, second = ds.to_spark(spark), ds.to_spark(spark)
+    a = graphflat.sampled_edges(*first, 4)
+    b = graphflat.sampled_edges(*second, 4)
+    assert a is not b
+    assert a.count() == b.count()
+    assert _persistent_rdds(sc) == before + 1
+    del second, b
+    gc.collect()
+    assert a.storageLevel != StorageLevel.NONE
+    assert _persistent_rdds(sc) == before + 1
+    a.count()
+    assert _persistent_rdds(sc) == before + 1
+    del first, a
+    gc.collect()
+    assert _persistent_rdds(sc) == before
+
+
+def test_collected_frame_never_waits_for_the_memo_lock(spark):
+    """A frame collected while another caller holds the memo's lock (a
+    GC inside ``cached_on`` runs finalizers there) queues its release
+    instead of waiting; the lock's holder releases the queue after it."""
+    ds = uug_lite(n=60, seed=16)
+    sc = spark.sparkContext
+    gc.collect()
+    before = _persistent_rdds(sc)
+    frames = ds.to_spark(spark)
+    graphflat.sampled_edges(*frames, 4).count()
+    assert _persistent_rdds(sc) == before + 1
+    held, collected, waited = threading.Event(), threading.Event(), []
+
+    def hold() -> None:
+        with graphflat._LOCK:
+            held.set()
+            waited.append(not collected.wait(10))
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    held.wait()
+    del frames
+    gc.collect()
+    collected.set()
+    holder.join()
+    assert waited == [False]
+    assert _persistent_rdds(sc) == before + 1
+    graphflat._release()
     assert _persistent_rdds(sc) == before

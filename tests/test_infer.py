@@ -3,6 +3,7 @@ GraphInfer ≡ Original(GraphFeature) ≡ local whole-graph forward, per
 model kind; sampling consistency; cost accounting."""
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.core.graphfeature import store_graph_features, load_graph_features
-from repro.core import graphflat
+from repro.core import graphflat, infer
 from repro.core.graphflat import build_graph_features
 from repro.core.infer import (
     inference_cost_report,
@@ -25,6 +26,7 @@ from repro.core.sampling import sample_in_edges
 from repro.core.vectorize import whole_graph_batch
 from repro.graphs.generators import EDGE_SCHEMA, NODE_SCHEMA, GraphDataset, uug_lite
 from repro.nn.models import NEEDS_SELF_LOOPS, GNNModel, layer_from_slice
+from tests.test_graphflat import _persistent_rdds, key_partitions
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +120,14 @@ def test_graph_infer_key_groups_span_arrow_batches(spark, setup, kind, partition
         "spark.sql.shuffle.partitions": str(partitions),
     }
     saved = {k: spark.conf.get(k, None) for k in confs}
+    run_graph_infer(nodes_df, edges_df, model.to_slices())  # memoize the round tables
     try:
         for k, v in confs.items():
             spark.conf.set(k, v)
-        got = _scores(run_graph_infer(nodes_df, edges_df, model.to_slices()))
+        gi = run_graph_infer(nodes_df, edges_df, model.to_slices())
+        # a memo hit still plans every round under the current conf
+        assert key_partitions(gi) == {partitions}
+        got = _scores(gi)
     finally:
         for k, v in saved.items():
             spark.conf.unset(k) if v is None else spark.conf.set(k, v)
@@ -216,6 +222,82 @@ def test_pipelines_on_the_same_frames_sample_once(spark, monkeypatch):
         build_graph_features(nodes_df, edges_df, targets, 2, max_degree=4, seed=3).collect()
     run_graph_infer(nodes_df, edges_df, _model(ds, "gcn").to_slices(), max_degree=4, seed=3).collect()
     assert len(calls) == 1
+
+
+def test_pipeline_plans_memo_key_and_lifetime(spark, monkeypatch):
+    """Repeated GraphFlat and GraphInfer calls on the same frames and
+    options build their model-independent plan once; another targets,
+    k, max_degree, strategy or seed builds another. Two models run
+    alternately on one memoized plan each equal the local forward, and
+    dropping the frames frees every table the memo cached."""
+    ds = uug_lite(n=60, seed=19)
+    sc = spark.sparkContext
+    gc.collect()
+    before = _persistent_rdds(sc)
+    nodes_df, edges_df = ds.to_spark(spark)
+    ids = ds.split_ids("train")[:10]
+    targets = spark.createDataFrame(pd.DataFrame({"id": ids}))
+    khops, tables = [], []
+    khop, round_tables = graphflat.khop_members, infer._round_tables
+
+    def counting_khop(*args):
+        khops.append(args)
+        return khop(*args)
+
+    def counting_tables(*args):
+        tables.append(args)
+        return round_tables(*args)
+
+    monkeypatch.setattr(graphflat, "khop_members", counting_khop)
+    monkeypatch.setattr(infer, "_round_tables", counting_tables)
+
+    def flat(t=targets, k=2, **opts):
+        gf = build_graph_features(nodes_df, edges_df, t, k, **{"max_degree": 4, "seed": 3, **opts})
+        return {r["root"]: bytes(r["gf"]) for r in gf.collect()}
+
+    first = flat()
+    assert flat() == first and len(first) == 10
+    assert len(khops) == 1
+    other_targets = spark.createDataFrame(pd.DataFrame({"id": ids}))
+    assert flat(other_targets) == first
+    flat(k=1), flat(max_degree=5), flat(strategy="weighted"), flat(seed=4)
+    assert len(khops) == 6
+
+    models = [(kind, _model(ds, kind, seed=s)) for kind, s in (("gcn", 1), ("gat", 2))]
+    for _ in range(2):
+        for kind, model in models:
+            got = _scores(run_graph_infer(nodes_df, edges_df, model.to_slices()))
+            want = _local_scores(ds, model, kind)[:, 0]
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8, err_msg=kind)
+    assert len(tables) == 1
+    slices = models[0][1].to_slices()
+    for opts in ({"max_degree": 4}, {"max_degree": 4, "strategy": "weighted"}, {"seed": 4}):
+        run_graph_infer(nodes_df, edges_df, slices, **opts)
+        run_graph_infer(nodes_df, edges_df, slices, **opts)
+    run_graph_infer(nodes_df, edges_df, _model(ds, "gcn", k=1).to_slices())
+    assert len(tables) == 5
+
+    assert _persistent_rdds(sc) > before
+    del nodes_df, edges_df, targets, other_targets
+    gc.collect()
+    assert _persistent_rdds(sc) == before
+
+
+def test_head_only_model_scores_node_features(spark, setup):
+    """A model with no GNN slice scores each node's features with the
+    head alone, and still reads the edges through the ingest contract: a
+    non-finite weight raises."""
+    ds, nodes_df, edges_df = setup
+    slices = _model(ds, "gcn", k=0).to_slices()
+    assert len(slices) == 1
+    got = _scores(run_graph_infer(nodes_df, edges_df, slices))
+    order = np.argsort(ds.nodes["id"].to_numpy())
+    want = layer_from_slice(slices[0]).forward(ds.feat_matrix()[order])[:, 0]
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
+    src = int(ds.edges["src"].iloc[0])
+    w = F.when(F.col("src") == src, F.lit(float("nan"))).otherwise(F.col("w"))
+    with pytest.raises(ValueError, match="null, NaN or infinite w"):
+        run_graph_infer(nodes_df, edges_df.withColumn("w", w), slices)
 
 
 _MAX_DEGREE = 2

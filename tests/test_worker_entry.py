@@ -13,7 +13,7 @@ from collections import Counter
 import pyarrow as pa
 from pyspark import SparkFiles, TaskContext
 
-from repro.core.graphflat import reduce_by_key, worker_entry
+from repro.core.graphflat import reduce_by_key, sort_by_key, worker_entry
 
 
 def _zip(path, module: str, body: str = "VALUE = 1\n") -> str:
@@ -100,7 +100,7 @@ def test_worker_entry_on_spark_workers(spark, tmp_path):
     rows = spark.range(64).withColumnRenamed("id", "key")
 
     def probe(module=None):
-        return reduce_by_key(rows, [], _worker_rereads(module), schema).toPandas()
+        return reduce_by_key(sort_by_key(rows, []), _worker_rereads(module), schema).toPandas()
 
     got = probe()
     assert len(got) > 0
