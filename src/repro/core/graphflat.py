@@ -164,25 +164,30 @@ def _release(*collected) -> None:
 def cached_on(frame: DataFrame, key: tuple, build, *, cache: bool = True):
     """``build()`` memoized on the ``frame`` object and ``key`` (a frame in
     ``key`` compares by identity): a repeated call returns it without
-    calling ``build``, which must not call this function itself.
+    calling ``build``. The memo entry lives as long as ``frame``.
 
-    Without ``cache`` the value is held as built: plain frames, whose
-    plans are then built once. With ``cache`` it is a DataFrame or an
-    RDD, cached. Memo entries over frames with equal data build equal
-    DataFrame plans, which Spark caches as one entry; that entry is
-    unpersisted when the last frame holding it is collected. The
-    application's end frees the rest."""
+    ``build`` runs outside the memo's lock, so callers on other frames
+    never wait for it; of two racing builds of one entry the first to
+    finish is kept. Without ``cache`` the value is held as built: plain
+    frames, whose plans are then built once. With ``cache`` it is a
+    DataFrame or an RDD, cached. Memo entries over frames with equal
+    data build equal DataFrame plans, which Spark caches as one entry;
+    that entry is unpersisted when the last frame holding it is
+    collected. The application's end frees the rest."""
     try:
         with _LOCK:
-            memo = _MEMO.setdefault(frame, {})
-            if key not in memo:
-                memo[key] = value = build().cache() if cache else build()
-                if cache:
+            value = _MEMO.setdefault(frame, {}).get(key)
+        if value is None:
+            built = build()
+            with _LOCK:
+                value = _MEMO[frame].setdefault(key, built)
+                if cache and value is built:
+                    value.cache()
                     entry = value.semanticHash() if isinstance(value, DataFrame) else value
                     _HOLDERS[entry] += 1
                     hold = (entry, value, frame.sparkSession)
                     weakref.finalize(frame, _release, hold).atexit = False
-            return memo[key]
+        return value
     finally:
         _release()
 
@@ -316,8 +321,9 @@ def build_graph_features(
     dist)`` with its features and, on the root's own row only, the label;
     an edge row is ``(EDGE, src, dst, w)``. Everything up to and
     including the rows' shuffle-and-sort is built once per frames and
-    options, memoized by :func:`cached_on` on ``edges``; each call adds
-    its own reducer.
+    options, memoized by :func:`cached_on` on ``targets`` (the frame a
+    caller most often makes anew), so it goes with ``targets``; each call
+    adds its own reducer.
     """
     sampled = sampled_edges(nodes, edges, max_degree, strategy=strategy, seed=seed)
 
@@ -341,6 +347,6 @@ def build_graph_features(
         rows = node_rows.unionByName(edge_rows, allowMissingColumns=True)
         return sort_by_key(rows, ["kind", "u", "v", "w"])
 
-    key = ("graphflat", nodes, targets, k, max_degree, strategy, seed)
-    rows = cached_on(edges, key, build, cache=False)
+    key = ("graphflat", nodes, edges, k, max_degree, strategy, seed)
+    rows = cached_on(targets, key, build, cache=False)
     return reduce_by_key(rows, _assemble, "root long, gf binary")

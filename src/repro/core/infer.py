@@ -41,8 +41,10 @@ no ghost endpoints, one copy of each duplicate edge) before sampling.
 The Map and round 0's shuffle-and-sort do not depend on the model:
 they are built once per frames and options, memoized by
 :func:`~repro.core.graphflat.cached_on`, and each call builds only its
-reducers and the later rounds' shuffles. Original's GraphFlat gets the
-same memo, so Table 5 compares the algorithms, not Python plan building.
+reducers and the later rounds' shuffles. Only a caller that repeats a
+call on the same frame objects gains from it, as serving the same graph
+with one model after another does; Original's GraphFlat gets the same
+memo.
 """
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 from pyspark import StorageLevel
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.graphfeature import collect_records
@@ -451,3 +452,28 @@ def test_collected_frame_never_waits_for_the_memo_lock(spark):
     assert _persistent_rdds(sc) == before + 1
     graphflat._release()
     assert _persistent_rdds(sc) == before
+
+
+def test_memo_builds_outside_its_lock(spark):
+    """``build`` runs outside the memo's lock, so callers on other frames
+    never wait for it, and of two racing builds of one entry the first
+    memoized is kept and the other is not cached."""
+    frame = spark.range(3)
+    locked = []
+
+    def build() -> DataFrame:
+        locked.append(graphflat._LOCK.locked())
+        return frame.limit(2)
+
+    got = graphflat.cached_on(frame, ("plan",), build, cache=False)
+    assert locked == [False] and got.count() == 2
+    assert graphflat.cached_on(frame, ("plan",), build, cache=False) is got
+    assert len(locked) == 1
+    first, second = frame.limit(1), frame.limit(2)
+
+    def racing() -> DataFrame:  # another caller memoizes the entry meanwhile
+        graphflat._MEMO[frame][("race",)] = first
+        return second
+
+    assert graphflat.cached_on(frame, ("race",), racing) is first
+    assert second.storageLevel == StorageLevel.NONE

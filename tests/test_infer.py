@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -227,7 +228,8 @@ def test_pipelines_on_the_same_frames_sample_once(spark, monkeypatch):
 def test_pipeline_plans_memo_key_and_lifetime(spark, monkeypatch):
     """Repeated GraphFlat and GraphInfer calls on the same frames and
     options build their model-independent plan once; another targets,
-    k, max_degree, strategy or seed builds another. Two models run
+    k, max_degree, strategy or seed builds another, and a dropped
+    targets frame takes its plan with it. Two models run
     alternately on one memoized plan each equal the local forward, and
     dropping the frames frees every table the memo cached."""
     ds = uug_lite(n=60, seed=19)
@@ -241,7 +243,7 @@ def test_pipeline_plans_memo_key_and_lifetime(spark, monkeypatch):
     khop, round_tables = graphflat.khop_members, infer._round_tables
 
     def counting_khop(*args):
-        khops.append(args)
+        khops.append(args[-1])  # k: holding the frames would keep them alive
         return khop(*args)
 
     def counting_tables(*args):
@@ -260,6 +262,11 @@ def test_pipeline_plans_memo_key_and_lifetime(spark, monkeypatch):
     assert len(khops) == 1
     other_targets = spark.createDataFrame(pd.DataFrame({"id": ids}))
     assert flat(other_targets) == first
+    # GraphFlat's plan is memoized on targets and goes with it
+    gone = weakref.ref(other_targets)
+    del other_targets
+    gc.collect()
+    assert gone() is None
     flat(k=1), flat(max_degree=5), flat(strategy="weighted"), flat(seed=4)
     assert len(khops) == 6
 
@@ -278,7 +285,8 @@ def test_pipeline_plans_memo_key_and_lifetime(spark, monkeypatch):
     assert len(tables) == 5
 
     assert _persistent_rdds(sc) > before
-    del nodes_df, edges_df, targets, other_targets
+    # flat's default holds targets, whose plan holds nodes and edges
+    del nodes_df, edges_df, targets, flat
     gc.collect()
     assert _persistent_rdds(sc) == before
 
