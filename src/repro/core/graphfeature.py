@@ -19,6 +19,7 @@ numpy arrays).
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,6 @@ class SubgraphRecord:
         the paper's protobuf string (decode is a few ``np.frombuffer``
         calls, so the disk-based trainer is not dominated by parsing,
         just as protobuf decoding is cheap)."""
-        import struct
-
         n, m = self.n_nodes, self.n_edges
         f = self.feats.shape[1] if n else 0
         lab = np.asarray(self.label, dtype=np.float64)
@@ -72,8 +71,6 @@ class SubgraphRecord:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "SubgraphRecord":
-        import struct
-
         root, nl, n, f, m = struct.unpack_from("<qqqqq", buf, 0)
         o = 40
 

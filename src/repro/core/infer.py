@@ -56,7 +56,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..nn.edges import Edges
-from ..nn.models import layer_from_slice, slice_needs_self_loops
+from ..nn.models import NEEDS_SELF_LOOPS, layer_from_slice
 from .graphfeature import SubgraphRecord
 from .graphflat import (
     _matrix,
@@ -108,7 +108,7 @@ def _round_fn(spec: dict, head_spec: dict | None):
     def fn(groups: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         layer = layer_from_slice(spec)
         head = None if head_spec is None else layer_from_slice(head_spec)
-        loops = slice_needs_self_loops(spec)
+        loops = NEEDS_SELF_LOOPS[spec["kind"]]
         for rb in groups:
             key = rb.column("key").to_numpy()
             kind = rb.column("kind").to_numpy()
@@ -240,7 +240,7 @@ def run_original_inference(
     """
     if n_layers != len(slices) - 1:
         raise ValueError(f"n_layers={n_layers}, but slices hold {len(slices) - 1} GNN layers")
-    needs_self = [slice_needs_self_loops(s) for s in slices[:-1]]
+    self_loops = n_layers > 0 and NEEDS_SELF_LOOPS[slices[0]["kind"]]
 
     @worker_entry
     def fn(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
@@ -251,10 +251,9 @@ def run_original_inference(
             for s in rb.column("gf").to_pylist():
                 bg = merge_batch([SubgraphRecord.from_bytes(s)])
                 H = bg.X
-                base_raw = bg.edges_raw()
-                base_self = base_raw.with_self_loops()
-                for lyr, self_l in zip(layers, needs_self):
-                    H = lyr.forward(H, base_self if self_l else base_raw)
+                adj = bg.adj_list(n_layers, self_loops=self_loops, pruning=False)
+                for lyr, e in zip(layers, adj):
+                    H = lyr.forward(H, e)
                 ids.append(bg.node_ids[bg.target_idx])
                 scores.append(head.forward(H[bg.target_idx]))
             if ids:

@@ -1,9 +1,10 @@
 """Sampling framework + re-indexing for hub nodes (§3.2.2).
 
-GraphFlat's reducers sample each node's in-edges down to ``max_degree``
-so hub neighborhoods stay bounded, and *re-index* hub shuffle keys
-(append a random suffix → partial reduce per salted key → inverted
-index back to the original key) to keep reducers load-balanced.
+GraphFlat samples each node's in-edges down to ``max_degree`` so hub
+neighborhoods stay bounded. Re-indexing (salted shuffle key → partial
+reduce per salted key → inverted index back to the key) balances
+reducers; it is :func:`sample_in_edges`' ``reindex_threshold``, which
+no pipeline sets.
 
 Spark mapping: the shuffle key is the edge's ``dst``; sampling = top-k
 of a deterministic per-edge rank within each ``dst`` group; re-indexing
@@ -30,6 +31,8 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 _BIG = 1_000_000_007
+#: salt values per hub destination when re-indexing
+N_SALT = 8
 
 
 def _edge_uniform(seed: int):
@@ -55,7 +58,6 @@ def sample_in_edges(
     strategy: str = "uniform",
     seed: int = 0,
     reindex_threshold: int | None = None,
-    n_salt: int = 8,
 ) -> DataFrame:
     """Keep at most ``max_degree`` in-edges per destination node.
 
@@ -91,7 +93,7 @@ def sample_in_edges(
     )
     # Re-indexing: salt the shuffle key, partial top-k per salted key...
     salted = hubs.withColumn(
-        "_salt", F.pmod(F.xxhash64(F.col("src"), F.lit(seed + 1)), F.lit(n_salt))
+        "_salt", F.pmod(F.xxhash64(F.col("src"), F.lit(seed + 1)), F.lit(N_SALT))
     )
     salt_win = Window.partitionBy("dst", "_salt").orderBy(F.desc("_key"), "src")
     partial = (
@@ -104,5 +106,4 @@ def sample_in_edges(
         partial.withColumn("_rn", F.row_number().over(direct_win))
         .filter(F.col("_rn") <= max_degree)
     )
-    keep = [c for c in edges.columns]
-    return plain_out.select(keep).unionByName(hub_out.select(keep))
+    return plain_out.select(edges.columns).unionByName(hub_out.select(edges.columns))

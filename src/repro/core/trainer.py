@@ -68,11 +68,8 @@ class TrainConfig:
             self.kind, d_in, self.hidden, self.n_out, self.n_layers,
             self.task, n_heads=self.n_heads, seed=self.seed,
         )
-        m.set_aggregator(self.aggregator())
+        m.set_aggregator(Aggregator("partitioned" if self.partition else "add_at"))
         return m
-
-    def aggregator(self) -> Aggregator:
-        return Aggregator("partitioned" if self.partition else "add_at")
 
 
 def batch_step(model: GNNModel, bg: BatchGraph, adj: list[Edges]) -> tuple[float, int]:
@@ -89,13 +86,12 @@ def batch_step(model: GNNModel, bg: BatchGraph, adj: list[Edges]) -> tuple[float
 class MemorySource:
     """Batches from decoded records held in memory (tests, Table 3)."""
 
-    def __init__(self, records: list[SubgraphRecord], batch_size: int, shuffle: bool = True):
-        self.records, self.batch_size, self.shuffle = records, batch_size, shuffle
+    def __init__(self, records: list[SubgraphRecord], batch_size: int):
+        self.records, self.batch_size = records, batch_size
 
     def batches(self, epoch: int) -> list[list[SubgraphRecord]]:
         order = np.arange(len(self.records))
-        if self.shuffle:
-            np.random.default_rng(epoch).shuffle(order)
+        np.random.default_rng(epoch).shuffle(order)
         recs = [self.records[i] for i in order]
         return [recs[i : i + self.batch_size] for i in range(0, len(recs), self.batch_size)]
 
@@ -112,13 +108,14 @@ class ParquetSource:
     thread."""
 
     def __init__(self, path: str, batch_size: int):
-        import pyarrow.dataset as pads  # local import: optional at module load
-
-        self._pads = pads
         self.path, self.batch_size = path, batch_size
 
     def batches(self, epoch: int):
-        ds = self._pads.dataset(self.path, format="parquet")
+        # imported here: it takes ~0.3 s, and the PS workers that import
+        # this module never read parquet
+        import pyarrow.dataset as pads
+
+        ds = pads.dataset(self.path, format="parquet")
         # to_batches stops at every fragment: carry the remainder over
         buf: list[bytes] = []
         for rb in ds.to_batches(batch_size=self.batch_size, columns=["gf"]):
@@ -142,7 +139,6 @@ class GraphTrainer:
         self.cfg = cfg
         self.model = cfg.build_model(d_in)
         self.opt = Adam(lr=cfg.lr)
-        self.self_loops = NEEDS_SELF_LOOPS[cfg.kind]
 
     def vectorize(self, records: list) -> tuple[BatchGraph, list[Edges]]:
         """Subgraph-vectorization phase: records → (A_B, X_B, …) and the
@@ -156,7 +152,8 @@ class GraphTrainer:
             for r in records
         ]
         bg = merge_batch(records)
-        adj = bg.adj_list(self.cfg.n_layers, self_loops=self.self_loops, pruning=self.cfg.pruning)
+        cfg = self.cfg
+        adj = bg.adj_list(cfg.n_layers, self_loops=NEEDS_SELF_LOOPS[cfg.kind], pruning=cfg.pruning)
         for e in adj:
             _ = e.src_order
         return bg, adj
@@ -214,15 +211,14 @@ class WholeGraphTrainer:
         self.cfg, self.bg, self.system = cfg, bg, system
         self.model = replace(cfg, partition=(system == "dgl_sim")).build_model(bg.X.shape[1])
         self.opt = Adam(lr=cfg.lr)
-        base = bg.edges_raw()
-        self._base = base.with_self_loops() if NEEDS_SELF_LOOPS[cfg.kind] else base
+        self._adj_list = bg.adj_list(cfg.n_layers, self_loops=NEEDS_SELF_LOOPS[cfg.kind], pruning=False)
 
     def _adj(self) -> list[Edges]:
-        e = self._base
-        if self.system == "pyg_sim":
-            # re-coalesce per forward, as PyG's generic scatter prep did
-            e = Edges.from_arrays(e.src, e.dst, e.w, e.n_nodes)
-        return [e] * self.cfg.n_layers
+        if self.system == "dgl_sim":
+            return self._adj_list
+        # re-coalesce per forward, as PyG's generic scatter prep did
+        e = self._adj_list[0]
+        return [Edges.from_arrays(e.src, e.dst, e.w, e.n_nodes)] * self.cfg.n_layers
 
     def train_epoch(self, epoch: int = 0) -> float:
         loss, _ = batch_step(self.model, self.bg, self._adj())

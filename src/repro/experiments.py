@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from .core.graphfeature import collect_records, load_graph_features, store_graph_features
 from .core.graphflat import build_graph_features, sampled_edges
@@ -127,14 +127,13 @@ def _whole_graph(ds: GraphDataset, target_ids: np.ndarray):
     )
 
 
-def _cfg_for(ds_name: str, ds: GraphDataset, kind: str, n_layers: int = 2, **kw) -> TrainConfig:
+def _cfg_for(ds_name: str, kind: str, n_layers: int = 2, **kw) -> TrainConfig:
     tc = _TASK_CFG[ds_name]
     if kind == "gat":
         kw.setdefault("n_heads", 2)
     base = dict(kind=kind, n_layers=n_layers, lr=0.01, batch_size=64, seed=7)
     base.update(tc)
     base.update(kw)
-    # multilabel head out = n_classes
     return TrainConfig(**base)
 
 
@@ -151,7 +150,7 @@ def train_agl(
 ) -> tuple[GraphTrainer, float]:
     """The AGL path: GraphFlat → GraphTrainer → test metric."""
     nodes_df, edges_df = ds.to_spark(spark)
-    cfg = _cfg_for(ds_name, ds, kind, n_layers=k, **cfg_kw)
+    cfg = _cfg_for(ds_name, kind, n_layers=k, **cfg_kw)
     mk = lambda ids: spark.createDataFrame(pd.DataFrame({"id": ids}))
     tr = collect_records(
         build_graph_features(nodes_df, edges_df, mk(ds.split_ids("train")), k, max_degree=max_degree)
@@ -170,7 +169,7 @@ def train_whole_graph(
     ds: GraphDataset, ds_name: str, kind: str, system: str, *, epochs: int, **cfg_kw
 ) -> tuple[WholeGraphTrainer, float]:
     """The in-memory comparator path (PyG/DGL stand-ins), full-batch."""
-    cfg = _cfg_for(ds_name, ds, kind, **cfg_kw)
+    cfg = _cfg_for(ds_name, kind, **cfg_kw)
     bg = _whole_graph(ds, ds.split_ids("train"))
     t = WholeGraphTrainer(cfg, bg, system=system)
     for e in range(epochs):

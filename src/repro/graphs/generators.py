@@ -12,7 +12,7 @@ the *task structure* each dataset contributes to the evaluation:
 - :func:`uug_lite`   — a directed, hub-heavy (power-law in-degree)
   social graph with binary labels where only *marked* in-neighbors carry
   label signal — an attention-learnable structure, so GAT ≫ GCN/SAGE as
-  on the paper's UUG. Hubs exercise GraphFlat's re-indexing & sampling.
+  on the paper's UUG. Hubs exercise GraphFlat's sampling.
 
 All generators are deterministic in ``seed`` and return pandas frames
 (:class:`GraphDataset`); :func:`GraphDataset.to_spark` lifts them to the
@@ -77,18 +77,19 @@ class GraphDataset:
         return np.stack(self.nodes["label"].to_numpy())
 
 
-def _symmetrize(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> pd.DataFrame:
-    """Both directions + dedup (keep max weight) + no self loops."""
-    df = pd.DataFrame(
-        {
-            "src": np.concatenate([src, dst]),
-            "dst": np.concatenate([dst, src]),
-            "w": np.concatenate([w, w]),
-        }
-    )
-    df = df[df.src != df.dst]
+def _simple_edges(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> pd.DataFrame:
+    """No self-loops; the max-``w`` copy of each ``(src, dst)`` edge."""
+    keep = src != dst
+    df = pd.DataFrame({"src": src[keep], "dst": dst[keep], "w": w[keep]})
     df = df.groupby(["src", "dst"], as_index=False)["w"].max()
     return df.astype({"src": np.int64, "dst": np.int64, "w": np.float64})
+
+
+def _symmetrize(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> pd.DataFrame:
+    """Both directions of each edge, as a simple graph."""
+    return _simple_edges(
+        np.concatenate([src, dst]), np.concatenate([dst, src]), np.concatenate([w, w])
+    )
 
 
 def _assign_splits(n: int, n_train: int, n_val: int, n_test: int, rng) -> np.ndarray:
@@ -261,13 +262,8 @@ def uug_lite(
     src = rng.integers(0, n, m)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    w = rng.random(src.shape[0]) + 0.5
-    edges = (
-        pd.DataFrame({"src": src, "dst": dst, "w": w})
-        .groupby(["src", "dst"], as_index=False)["w"]
-        .max()
-        .astype({"src": np.int64, "dst": np.int64, "w": np.float64})
-    )
+    w = rng.random(src.shape[0]) + 0.5  # drawn after the self-loop filter
+    edges = _simple_edges(src, dst, w)
     es, ed = edges["src"].to_numpy(), edges["dst"].to_numpy()
     if label_mode == "max":
         best = np.full(n, -np.inf)

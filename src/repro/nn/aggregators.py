@@ -17,11 +17,10 @@ CPU trade-off with two kernels:
                     machine's core count.
 
 The kernel choice applies to the ``[m, d]`` row reductions
-(:meth:`Aggregator.gather_scale_reduce`). A 1-D segment sum (the GAT
-softmax denominator and its backward) is one ``np.bincount``
-(:meth:`Aggregator.segment_sum`) under both kernels: it takes
-microseconds where a threaded span loop costs hundreds, and it equals
-``np.add.at`` bit for bit.
+(:meth:`Aggregator.gather_scale_reduce`). GAT's 1-D segment sums and
+maxes are one ``np.bincount`` and one ``np.maximum.at`` under both
+kernels: each takes microseconds where a threaded span loop costs
+hundreds, and the sum equals ``np.add.at`` bit for bit.
 
 Both kernels are exact (no approximation) and are property-tested
 against each other. Edge arrays are **assumed sorted by ``dst``** for
@@ -163,16 +162,12 @@ class Aggregator:
         as ``np.add.at`` does."""
         return np.bincount(idx, weights=values, minlength=n_nodes)
 
-    def segment_max(self, values: np.ndarray, dst: np.ndarray, n_nodes: int) -> np.ndarray:
-        """Per-destination max of 1-D edge values (−inf for empty rows)."""
+    @staticmethod
+    def segment_max(values: np.ndarray, idx: np.ndarray, n_nodes: int) -> np.ndarray:
+        """Per-row max of 1-D edge values (−inf for empty rows), for any
+        order of ``idx``, under either kernel."""
         out = np.full(n_nodes, -np.inf, dtype=values.dtype)
-        if values.shape[0] == 0:
-            return out
-        if self.kind == "add_at":
-            np.maximum.at(out, dst, values)
-            return out
-        uniq, starts = segment_starts(dst)
-        out[uniq] = np.maximum.reduceat(values, starts)
+        np.maximum.at(out, idx, values)
         return out
 
     def segment_softmax(

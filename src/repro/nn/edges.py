@@ -46,14 +46,14 @@ class Edges:
             self._src_order = np.argsort(self.src, kind="stable")
         return self._src_order
 
-    def with_self_loops(self, weight: float = 1.0) -> "Edges":
+    def with_self_loops(self) -> "Edges":
         """Append one self-loop per node (GCN/GAT aggregate over
         ``{v} ∪ N_v^+``, Eq. 1)."""
         ids = np.arange(self.n_nodes, dtype=np.int64)
         return Edges.from_arrays(
             np.concatenate([self.src, ids]),
             np.concatenate([self.dst, ids]),
-            np.concatenate([self.w, np.full(self.n_nodes, weight)]),
+            np.concatenate([self.w, np.ones(self.n_nodes)]),
             self.n_nodes,
         )
 

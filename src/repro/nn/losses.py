@@ -3,7 +3,8 @@
 - Cora-lite: 7-class softmax cross-entropy + accuracy.
 - PPI-lite: multilabel sigmoid BCE + micro-F1 (threshold 0.5, as in
   the GraphSAGE/GAT evaluation protocol the paper follows).
-- UUG-lite: binary logistic loss + AUC (rank statistic, ties averaged).
+- UUG-lite: the same sigmoid BCE over one logit column (binary logistic
+  loss) + AUC (rank statistic, ties averaged).
 
 All gradients are w.r.t. logits and hand-derived; each is verified by a
 finite-difference test.
@@ -40,19 +41,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean multilabel BCE over all entries; ``targets`` ∈ {0,1} same shape."""
+    """Mean BCE over all entries; ``targets`` ∈ {0,1}, same shape. On
+    ``[b, 1]`` logits this is the binary logistic loss."""
     # log(1+e^x) computed stably as max(x,0)+log1p(e^-|x|).
     loss = float((np.maximum(logits, 0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))).mean())
     d = (sigmoid(logits) - targets) / logits.size
-    return loss, d
-
-
-def logistic_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Binary logistic loss over a 1-column logit vector, labels ∈ {0,1}."""
-    lg = logits.reshape(-1)
-    t = targets.reshape(-1).astype(lg.dtype)
-    loss = float((np.maximum(lg, 0) - lg * t + np.log1p(np.exp(-np.abs(lg)))).mean())
-    d = ((sigmoid(lg) - t) / lg.size).reshape(logits.shape)
     return loss, d
 
 
@@ -60,12 +53,10 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def micro_f1(logits: np.ndarray, targets: np.ndarray, threshold: float = 0.0) -> float:
-    """Micro-averaged F1 with predictions = (logit > threshold).
-
-    ``threshold=0`` on logits equals probability 0.5 after a sigmoid.
-    """
-    pred = logits > threshold
+def micro_f1(logits: np.ndarray, targets: np.ndarray) -> float:
+    """Micro-averaged F1 with predictions = (logit > 0), i.e.
+    probability > 0.5 after a sigmoid."""
+    pred = logits > 0
     t = targets.astype(bool)
     tp = float(np.logical_and(pred, t).sum())
     fp = float(np.logical_and(pred, ~t).sum())

@@ -20,7 +20,7 @@ from .layers import DenseLayer, GATLayer, GCNLayer, Layer, SAGELayer
 TASKS = {
     "multiclass": (losses.softmax_xent, losses.accuracy, "accuracy"),
     "multilabel": (losses.bce_with_logits, losses.micro_f1, "micro_f1"),
-    "binary": (losses.logistic_loss, losses.auc, "auc"),
+    "binary": (losses.bce_with_logits, losses.auc, "auc"),
 }
 
 def task_labels(task: str, Y: np.ndarray) -> np.ndarray:
@@ -131,13 +131,9 @@ class GNNModel:
         """K+1 slices: one per GNN layer + the prediction model."""
         out = []
         for lyr in self.layers:
-            if isinstance(lyr, GCNLayer):
-                spec = {"kind": "gcn", "act": lyr.act}
-            elif isinstance(lyr, SAGELayer):
-                spec = {"kind": "sage", "act": lyr.act}
-            else:
-                assert isinstance(lyr, GATLayer)
-                spec = {"kind": "gat", "act": lyr.act, "n_heads": lyr.n_heads, "d_out": lyr.d_out}
+            spec = {"kind": self.kind, "act": lyr.act}
+            if self.kind == "gat":
+                spec.update(n_heads=lyr.n_heads, d_out=lyr.d_out)
             spec["params"] = {k: v.copy() for k, v in lyr.params.items()}
             out.append(spec)
         out.append({"kind": "dense", "act": self.head.act,
@@ -161,7 +157,3 @@ def layer_from_slice(spec: dict) -> Layer:
     for k in lyr.params:
         np.copyto(lyr.params[k], p[k])
     return lyr
-
-
-def slice_needs_self_loops(spec: dict) -> bool:
-    return NEEDS_SELF_LOOPS[spec["kind"]]

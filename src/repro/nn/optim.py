@@ -35,15 +35,3 @@ class Adam:
             v *= self.beta2
             v += (1 - self.beta2) * g * g
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = state["t"]
-        self.m = {k: v.copy() for k, v in state["m"].items()}
-        self.v = {k: v.copy() for k, v in state["v"].items()}

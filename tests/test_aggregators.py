@@ -83,6 +83,8 @@ def test_segment_max(kind):
     got = Aggregator(kind=kind).segment_max(vals, dst, 5)
     assert got[0] == 3.0 and got[2] == -1.0 and got[4] == 7.0
     assert np.isneginf(got[1]) and np.isneginf(got[3])
+    perm = np.random.default_rng(0).permutation(dst.size)  # any order of dst
+    np.testing.assert_array_equal(Aggregator.segment_max(vals[perm], dst[perm], 5), got)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -19,8 +19,8 @@ from repro.core.graphfeature import collect_records
 from repro.core import graphflat
 from repro.core.graphflat import build_graph_features, khop_members, subgraph_edges
 from repro.graphs.generators import uug_lite
-from repro.oracle import assert_equivalent
 from tests.graphflat_reference import graphflat_message_passing
+from tests.oracle import assert_equivalent
 
 BFS_SQL = """
 WITH RECURSIVE walk(root, id, dist) AS (

@@ -77,7 +77,7 @@ def test_graph_infer_matches_local_forward(spark, setup, kind):
     )
 
 
-@pytest.mark.parametrize("kind", ["gcn", "gat"])
+@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
 def test_original_inference_matches_graph_infer(spark, setup, tmp_path, kind):
     """The Original per-GraphFeature baseline produces the same scores —
     it is only slower, never different (Table 5 compares cost only)."""

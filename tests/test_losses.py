@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.nn import losses
+from repro.nn.models import TASKS
 from tests.nn_utils import numerical_grad
 
 
@@ -30,13 +31,30 @@ def test_softmax_xent_grad_matches_numeric():
 
 
 def test_bce_with_logits_grad_matches_numeric():
+    """Multilabel ``[n, c]`` logits and the binary task's ``[n, 1]``."""
     rng = np.random.default_rng(2)
-    logits = rng.standard_normal((5, 7))
-    targets = (rng.random((5, 7)) > 0.5).astype(float)
-    loss, d = losses.bce_with_logits(logits, targets)
-    assert loss > 0
-    num = numerical_grad(lambda: losses.bce_with_logits(logits, targets)[0], logits)
-    np.testing.assert_allclose(d, num, rtol=1e-5, atol=1e-7)
+    for shape in ((5, 7), (8, 1)):
+        logits = rng.standard_normal(shape)
+        targets = (rng.random(shape) > 0.5).astype(float)
+        loss, d = losses.bce_with_logits(logits, targets)
+        assert loss > 0
+        num = numerical_grad(lambda: losses.bce_with_logits(logits, targets)[0], logits)
+        np.testing.assert_allclose(d, num, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("b", [1, 7, 64, 1000])
+def test_binary_task_loss_is_the_logistic_loss(b):
+    """The binary task's loss equals the logistic loss over the flattened
+    logit column, bit for bit in loss and gradient."""
+    rng = np.random.default_rng(b)
+    logits = rng.standard_normal((b, 1)) * 4
+    targets = rng.integers(0, 2, (b, 1)).astype(float)
+    loss, d = TASKS["binary"][0](logits, targets)
+    lg, t = logits.reshape(-1), targets.reshape(-1)
+    want = float((np.maximum(lg, 0) - lg * t + np.log1p(np.exp(-np.abs(lg)))).mean())
+    want_d = ((losses.sigmoid(lg) - t) / lg.size).reshape(logits.shape)
+    assert loss == want
+    assert d.shape == logits.shape and d.tobytes() == want_d.tobytes()
 
 
 def test_bce_extreme_logits_finite():
@@ -45,15 +63,6 @@ def test_bce_extreme_logits_finite():
     loss, d = losses.bce_with_logits(logits, targets)
     assert np.isfinite(loss) and np.isfinite(d).all()
     assert loss < 1e-6  # perfectly confident & correct
-
-
-def test_logistic_loss_grad_matches_numeric():
-    rng = np.random.default_rng(3)
-    logits = rng.standard_normal((8, 1))
-    targets = rng.integers(0, 2, (8, 1)).astype(float)
-    _, d = losses.logistic_loss(logits, targets)
-    num = numerical_grad(lambda: losses.logistic_loss(logits, targets)[0], logits)
-    np.testing.assert_allclose(d, num, rtol=1e-5, atol=1e-7)
 
 
 def test_accuracy():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn.aggregators import Aggregator
-from repro.nn.models import NEEDS_SELF_LOOPS, TASKS, GNNModel, layer_from_slice, slice_needs_self_loops
+from repro.nn.models import NEEDS_SELF_LOOPS, TASKS, GNNModel, layer_from_slice
 from tests.nn_utils import numerical_grad, random_edges
 
 
@@ -71,7 +71,6 @@ def test_slices_structure(kind):
     assert len(slices) == 4
     assert [s["kind"] for s in slices[:-1]] == [kind] * 3
     assert slices[-1]["kind"] == "dense"
-    assert slice_needs_self_loops(slices[0]) == NEEDS_SELF_LOOPS[kind]
 
 
 def test_slices_are_copies():

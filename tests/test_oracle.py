@@ -6,7 +6,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graphs.generators import uug_lite
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from pyspark.sql import functions as F
 
 from repro.core.sampling import sample_in_edges
 from repro.graphs.generators import uug_lite
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_reindexing_equals_direct(spark, hub_edges, strategy):
     _, edges_df = hub_edges
     direct = sample_in_edges(edges_df, 5, strategy=strategy, seed=7).toPandas()
     salted = sample_in_edges(
-        edges_df, 5, strategy=strategy, seed=7, reindex_threshold=10, n_salt=4
+        edges_df, 5, strategy=strategy, seed=7, reindex_threshold=10
     ).toPandas()
     key = ["dst", "src"]
     pd.testing.assert_frame_equal(
