@@ -56,7 +56,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..nn.edges import Edges
-from ..nn.models import NEEDS_SELF_LOOPS, layer_from_slice
+from ..nn.models import layer_from_slice
 from .graphfeature import SubgraphRecord
 from .graphflat import (
     _matrix,
@@ -108,7 +108,6 @@ def _round_fn(spec: dict, head_spec: dict | None):
     def fn(groups: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         layer = layer_from_slice(spec)
         head = None if head_spec is None else layer_from_slice(head_spec)
-        loops = NEEDS_SELF_LOOPS[spec["kind"]]
         for rb in groups:
             key = rb.column("key").to_numpy()
             kind = rb.column("kind").to_numpy()
@@ -121,7 +120,7 @@ def _round_fn(spec: dict, head_spec: dict | None):
             X = np.concatenate([H[is_self[has_h]], H[is_msg[has_h]]])
             src = np.arange(b, X.shape[0])
             dst, w_in = np.searchsorted(ids, key[is_msg]), w[is_msg]
-            if loops:
+            if layer.self_loops:
                 own = np.arange(b)
                 src, dst = np.concatenate([src, own]), np.concatenate([dst, own])
                 w_in = np.concatenate([w_in, np.ones(b)])
@@ -240,12 +239,12 @@ def run_original_inference(
     """
     if n_layers != len(slices) - 1:
         raise ValueError(f"n_layers={n_layers}, but slices hold {len(slices) - 1} GNN layers")
-    self_loops = n_layers > 0 and NEEDS_SELF_LOOPS[slices[0]["kind"]]
 
     @worker_entry
     def fn(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         layers = [layer_from_slice(s) for s in slices[:-1]]
         head = layer_from_slice(slices[-1])
+        self_loops = bool(layers) and layers[0].self_loops
         for rb in batches:
             ids, scores = [], []
             for s in rb.column("gf").to_pylist():

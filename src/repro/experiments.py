@@ -127,49 +127,31 @@ def _whole_graph(ds: GraphDataset, target_ids: np.ndarray):
     )
 
 
-def _cfg_for(ds_name: str, kind: str, n_layers: int = 2, **kw) -> TrainConfig:
-    tc = _TASK_CFG[ds_name]
-    if kind == "gat":
-        kw.setdefault("n_heads", 2)
-    base = dict(kind=kind, n_layers=n_layers, lr=0.01, batch_size=64, seed=7)
-    base.update(tc)
-    base.update(kw)
-    return TrainConfig(**base)
+def _cfg_for(ds_name: str, kind: str) -> TrainConfig:
+    return TrainConfig(
+        kind=kind, n_layers=2, lr=0.01, batch_size=64, seed=7,
+        n_heads=2 if kind == "gat" else 1, **_TASK_CFG[ds_name],
+    )
 
 
 def train_agl(
-    spark: SparkSession,
-    ds: GraphDataset,
-    ds_name: str,
-    kind: str,
-    *,
-    epochs: int,
-    max_degree: int | None = 50,
-    k: int = 2,
-    **cfg_kw,
-) -> tuple[GraphTrainer, float]:
-    """The AGL path: GraphFlat → GraphTrainer → test metric."""
-    nodes_df, edges_df = ds.to_spark(spark)
-    cfg = _cfg_for(ds_name, kind, n_layers=k, **cfg_kw)
-    mk = lambda ids: spark.createDataFrame(pd.DataFrame({"id": ids}))
-    tr = collect_records(
-        build_graph_features(nodes_df, edges_df, mk(ds.split_ids("train")), k, max_degree=max_degree)
-    )
-    te = collect_records(
-        build_graph_features(nodes_df, edges_df, mk(ds.split_ids("test")), k, max_degree=max_degree)
-    )
+    ds: GraphDataset, ds_name: str, kind: str, train: list, test: list, *, epochs: int
+) -> float:
+    """The AGL path's GraphTrainer: train on the ``train`` GraphFeatures,
+    return the metric on the ``test`` ones."""
+    cfg = _cfg_for(ds_name, kind)
     trainer = GraphTrainer(cfg, ds.feat_dim)
-    src = MemorySource(tr, batch_size=cfg.batch_size)
+    src = MemorySource(train, batch_size=cfg.batch_size)
     for e in range(epochs):
         trainer.train_epoch(src, e)
-    return trainer, trainer.evaluate(te)
+    return trainer.evaluate(test)
 
 
 def train_whole_graph(
-    ds: GraphDataset, ds_name: str, kind: str, system: str, *, epochs: int, **cfg_kw
+    ds: GraphDataset, ds_name: str, kind: str, system: str, *, epochs: int
 ) -> tuple[WholeGraphTrainer, float]:
     """The in-memory comparator path (PyG/DGL stand-ins), full-batch."""
-    cfg = _cfg_for(ds_name, kind, **cfg_kw)
+    cfg = _cfg_for(ds_name, kind)
     bg = _whole_graph(ds, ds.split_ids("train"))
     t = WholeGraphTrainer(cfg, bg, system=system)
     for e in range(epochs):
@@ -187,17 +169,25 @@ def table3_run(spark: SparkSession, scale: str = "bench") -> list[dict]:
     epochs_agl = 20 if scale == "test" else 40
     rows = []
     for ds_name, ds in dss.items():
+        # the AGL path's GraphFlat, once over train ∪ test targets: a
+        # record depends only on its root, so the two split by root
+        nodes_df, edges_df = ds.to_spark(spark)
+        train_ids = ds.split_ids("train")
+        ids = np.concatenate([train_ids, ds.split_ids("test")])
+        records = collect_records(build_graph_features(
+            nodes_df, edges_df, spark.createDataFrame(pd.DataFrame({"id": ids})), 2,
+            max_degree=None if ds_name != "uug_lite" else 20,
+        ))
+        in_train = np.isin([r.root for r in records], train_ids)
+        tr = [r for r, t in zip(records, in_train) if t]
+        te = [r for r, t in zip(records, in_train) if not t]
         for kind in ("gcn", "sage", "gat"):
             row = dict(dataset=ds_name, model=kind)
             if ds_name != "uug_lite":
                 for system in ("pyg_sim", "dgl_sim"):
                     _, m = train_whole_graph(ds, ds_name, kind, system, epochs=epochs_full)
                     row[system] = round(m, 3)
-            _, m = train_agl(
-                spark, ds, ds_name, kind, epochs=epochs_agl,
-                max_degree=None if ds_name != "uug_lite" else 20,
-            )
-            row["agl"] = round(m, 3)
+            row["agl"] = round(train_agl(ds, ds_name, kind, tr, te, epochs=epochs_agl), 3)
             rows.append(row)
     return rows
 
@@ -225,30 +215,22 @@ AGL_VARIANTS = {
 }
 
 
-def table4_run(
-    spark: SparkSession,
-    workdir: str,
-    *,
-    scale: str = "bench",
-    layers: tuple[int, ...] = (1, 2, 3),
-    kinds: tuple[str, ...] = ("gcn", "sage", "gat"),
-    reps: int = 3,
-) -> list[dict]:
-    """Time one training epoch per (system, model, depth) config: the
-    whole-graph stand-ins in memory, the AGL variants over the stored
-    GraphFeatures of 2,048 (``test`` scale: 256) ppi_lite training
-    targets."""
+def table4_run(spark: SparkSession, workdir: str, *, scale: str = "bench") -> list[dict]:
+    """Time one training epoch per (system, model, depth) config, the
+    mean of 3 after a warm-up: the whole-graph stand-ins in memory, the
+    AGL variants over the stored GraphFeatures of 2,048 (``test`` scale:
+    256) ppi_lite training targets."""
     ds = make_datasets(scale)["ppi_lite"]
     nodes_df, edges_df = ds.to_spark(spark)
     n_targets = 256 if scale == "test" else 2048
     target_ids = np.sort(np.random.default_rng(0).permutation(ds.split_ids("train"))[:n_targets])
     targets = spark.createDataFrame(pd.DataFrame({"id": target_ids}))
-    for k in layers:
+    for k in (1, 2, 3):
         gf = build_graph_features(nodes_df, edges_df, targets, k, max_degree=8)
         store_graph_features(gf, f"{workdir}/gf_k{k}")
     rows = []
-    for kind in kinds:
-        for k in layers:
+    for kind in ("gcn", "sage", "gat"):
+        for k in (1, 2, 3):
             row = dict(model=kind, layers=k)
             cfg = TrainConfig(
                 kind=kind, n_layers=k, lr=0.01, batch_size=512, seed=1, **_TASK_CFG["ppi_lite"]
@@ -263,9 +245,9 @@ def table4_run(
                     epoch_fn = WholeGraphTrainer(cfg, bg, system=system).train_epoch
                 epoch_fn(0)  # warmup (first epoch pays allocation)
                 t0 = time.perf_counter()
-                for r in range(reps):
+                for r in range(3):
                     epoch_fn(r + 1)
-                row[system] = round((time.perf_counter() - t0) / reps, 4)
+                row[system] = round((time.perf_counter() - t0) / 3, 4)
             rows.append(row)
     return rows
 
@@ -291,14 +273,7 @@ def make_infer_dataset(scale: str = "bench") -> GraphDataset:
     return uug_lite(n=40000, avg_in_degree=10.0, seed=2)
 
 
-def table5_run(
-    spark: SparkSession,
-    workdir: str,
-    *,
-    scale: str = "bench",
-    k: int = 2,
-    max_degree: int = 8,
-) -> dict:
+def table5_run(spark: SparkSession, workdir: str, *, scale: str = "bench") -> dict:
     """Inference efficiency: Original (GraphFlat + per-GraphFeature
     forward) vs GraphInfer, over *every* node, 2-layer GAT with 8-dim
     embeddings (the paper's inference model). The sampled edge table
@@ -306,6 +281,7 @@ def table5_run(
     its timer starts, so the timers hold the Spark jobs and Original's
     forward, not the ingest check, sampling or Python plan building."""
     ds = make_infer_dataset(scale)
+    k, max_degree = 2, 8
     nodes_df, edges_df = ds.to_spark(spark)
     nodes_df, edges_df = nodes_df.cache(), edges_df.cache()
     nodes_df.count(), edges_df.count()

@@ -104,11 +104,7 @@ def _assign_splits(n: int, n_train: int, n_val: int, n_test: int, rng) -> np.nda
 def cora_lite(
     *,
     n: int = 2708,
-    n_classes: int = 7,
-    feat_dim: int = 128,
-    avg_degree: float = 4.0,
     intra_ratio: float = 0.9,
-    proto_density: float = 0.15,
     flip_rate: float = 0.05,
     seed: int = 0,
     n_train: int = 140,
@@ -121,8 +117,9 @@ def cora_lite(
     configuration (see experiments.make_datasets) targets the paper's
     ~0.81 GCN accuracy band rather than a saturated synthetic task."""
     rng = np.random.default_rng(seed)
+    n_classes, feat_dim = 7, 128
     labels = rng.integers(0, n_classes, n)
-    m = int(n * avg_degree / 2)
+    m = 2 * n  # average degree 4
     src = rng.integers(0, n, m)
     # intra_ratio of edges stay within the class block
     intra = rng.random(m) < intra_ratio
@@ -133,7 +130,7 @@ def cora_lite(
     )
     edges = _symmetrize(src, dst, np.ones(m))
     # sparse binary features: per-class prototype mask with bit flips
-    proto = rng.random((n_classes, feat_dim)) < proto_density
+    proto = rng.random((n_classes, feat_dim)) < 0.15
     X = proto[labels].astype(float)
     flip = rng.random((n, feat_dim)) < flip_rate
     X = np.abs(X - flip.astype(float))
@@ -162,9 +159,6 @@ def ppi_lite(
     *,
     n_graphs: int = 6,
     nodes_per_graph: int = 500,
-    n_labels: int = 24,
-    feat_dim: int = 50,
-    n_communities: int = 8,
     avg_degree: float = 8.0,
     seed: int = 1,
     n_train_graphs: int = 4,
@@ -173,6 +167,7 @@ def ppi_lite(
     """Inductive multilabel stand-in for PPI: independent graphs with
     community structure; split is *by graph* (train graphs first)."""
     rng = np.random.default_rng(seed)
+    n_labels, feat_dim, n_communities = 24, 50, 8
     # label weights shared across graphs (inductive transfer is possible)
     P = rng.standard_normal((feat_dim, n_labels)) * 0.8
     Q = rng.standard_normal((n_communities, n_labels)) * 1.5
@@ -221,13 +216,8 @@ def ppi_lite(
 def uug_lite(
     *,
     n: int = 4000,
-    feat_dim: int = 64,
     avg_in_degree: float = 8.0,
-    hub_alpha: float = 1.1,
-    marked_frac: float = 0.3,
     label_mode: str = "max",
-    trait_leak: float = 0.2,
-    label_noise: float = 0.05,
     seed: int = 2,
     labeled_frac: float = 0.5,
 ) -> GraphDataset:
@@ -252,11 +242,11 @@ def uug_lite(
     """
     rng = np.random.default_rng(seed)
     t = rng.standard_normal(n)
-    marked = (rng.random(n) < marked_frac).astype(float)
+    marked = (rng.random(n) < 0.3).astype(float)
     m = int(n * avg_in_degree)
     # power-law destination popularity -> hub in-degrees
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    pop = 1.0 / ranks**hub_alpha
+    pop = 1.0 / ranks**1.1
     pop /= pop.sum()
     dst = rng.choice(n, size=m, p=pop)
     src = rng.integers(0, n, m)
@@ -279,12 +269,12 @@ def uug_lite(
         score = np.where(sig_cnt > 0, sig_sum / np.maximum(sig_cnt, 1), t)
     else:
         raise ValueError(label_mode)
-    y = (score + rng.standard_normal(n) * label_noise > 0).astype(float)
+    y = (score + rng.standard_normal(n) * 0.05 > 0).astype(float)  # label noise
     X = np.concatenate(
         [
-            (t + rng.standard_normal(n) * trait_leak)[:, None],
+            (t + rng.standard_normal(n) * 0.2)[:, None],  # the trait leaks
             marked[:, None],
-            rng.standard_normal((n, feat_dim - 2)) * 0.5,
+            rng.standard_normal((n, 62)) * 0.5,  # 64 features in all
         ],
         axis=1,
     )
@@ -299,7 +289,7 @@ def uug_lite(
             ),
         }
     )
-    return GraphDataset("uug_lite", "binary", 2, feat_dim, nodes, edges)
+    return GraphDataset("uug_lite", "binary", 2, X.shape[1], nodes, edges)
 
 
 DATASETS = {"cora_lite": cora_lite, "ppi_lite": ppi_lite, "uug_lite": uug_lite}

@@ -45,13 +45,35 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class Layer:
-    """Base: holds params/grads and the aggregation engine."""
+    """Base: holds params/grads and the aggregation engine.
 
-    def __init__(self) -> None:
+    A subclass names its slice ``kind`` and says whether its ``forward``
+    expects self-loop-augmented edges; its parameter shapes carry every
+    size, so a slice is ``{"kind", "act", "params"}`` and nothing more.
+    """
+
+    kind = ""
+    self_loops = False
+
+    def __init__(self, act: str) -> None:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.act = act
         self.agg = Aggregator(kind="add_at")
         self._cache: dict = {}
+
+    def to_slice(self) -> dict:
+        """This layer as a slice of the segmented model (§3.4)."""
+        return {"kind": self.kind, "act": self.act,
+                "params": {k: v.copy() for k, v in self.params.items()}}
+
+    @classmethod
+    def from_slice(cls, spec: dict) -> "Layer":
+        """Rebuild a layer from :meth:`to_slice`'s dict (GraphInfer workers)."""
+        lyr = cls.__new__(cls)  # no constructor: it would draw weights the slice replaces
+        Layer.__init__(lyr, spec["act"])
+        lyr.params = {k: np.array(v, dtype=float) for k, v in spec["params"].items()}
+        return lyr
 
     def zero_grad(self) -> None:
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -71,11 +93,12 @@ class GCNLayer(Layer):
     a directed graph (in-degree normalisation).
     """
 
+    kind, self_loops = "gcn", True
+
     def __init__(self, d_in: int, d_out: int, act: str = "relu", seed: int = 0):
-        super().__init__()
+        super().__init__(act)
         rng = np.random.default_rng(seed)
         self.params = {"W": _glorot(rng, d_in, d_out), "b": np.zeros(d_out)}
-        self.act = act
 
     def forward(self, X: np.ndarray, edges: Edges) -> np.ndarray:
         deg = edges.in_degrees(weighted=True)
@@ -105,15 +128,16 @@ class SAGELayer(Layer):
     Expects ``edges`` *without* self-loops (self handled by W_self).
     """
 
+    kind = "sage"
+
     def __init__(self, d_in: int, d_out: int, act: str = "relu", seed: int = 0):
-        super().__init__()
+        super().__init__(act)
         rng = np.random.default_rng(seed)
         self.params = {
             "Wself": _glorot(rng, d_in, d_out),
             "Wnbr": _glorot(rng, d_in, d_out),
             "b": np.zeros(d_out),
         }
-        self.act = act
 
     def forward(self, X: np.ndarray, edges: Edges) -> np.ndarray:
         deg = np.maximum(edges.in_degrees(), 1.0)
@@ -144,17 +168,25 @@ class GATLayer(Layer):
     out_t = Σ_s α z_s. Output dim is ``n_heads * d_out``.
     """
 
+    kind, self_loops = "gat", True
     LEAK = 0.2
 
     def __init__(self, d_in: int, d_out: int, n_heads: int = 1, act: str = "elu", seed: int = 0):
-        super().__init__()
+        super().__init__(act)
         rng = np.random.default_rng(seed)
-        self.n_heads, self.d_out, self.act = n_heads, d_out, act
         for h in range(n_heads):
             self.params[f"W{h}"] = _glorot(rng, d_in, d_out)
             self.params[f"as{h}"] = _glorot(rng, d_out, 1)[:, 0]
             self.params[f"ad{h}"] = _glorot(rng, d_out, 1)[:, 0]
         self.params["b"] = np.zeros(n_heads * d_out)
+
+    @property
+    def d_out(self) -> int:
+        return self.params["W0"].shape[1]
+
+    @property
+    def n_heads(self) -> int:
+        return self.params["b"].size // self.d_out
 
     def forward(self, X: np.ndarray, edges: Edges) -> np.ndarray:
         outs, caches = [], []
@@ -207,11 +239,12 @@ class GATLayer(Layer):
 class DenseLayer(Layer):
     """Plain affine layer — the paper's "prediction model" slice K+1."""
 
+    kind = "dense"
+
     def __init__(self, d_in: int, d_out: int, act: str = "id", seed: int = 0):
-        super().__init__()
+        super().__init__(act)
         rng = np.random.default_rng(seed)
         self.params = {"W": _glorot(rng, d_in, d_out), "b": np.zeros(d_out)}
-        self.act = act
 
     def forward(self, X: np.ndarray, edges: Edges | None = None) -> np.ndarray:
         Z = X @ self.params["W"] + self.params["b"]

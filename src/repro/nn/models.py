@@ -3,9 +3,10 @@ segmentation (§3.4 step 1: a K-layer model splits into K+1 slices).
 
 A model is K stacked GNN layers followed by a dense prediction head
 applied only to target-node embeddings (the paper's ``look_up`` +
-prediction model). ``to_slices`` / ``layer_from_slice`` serialise each
-layer's parameters as plain dicts so GraphInfer can broadcast slice k
-to the k-th Reduce round.
+prediction model). Each slice is one layer's ``{"kind", "act",
+"params"}`` (:meth:`~repro.nn.layers.Layer.to_slice`), so GraphInfer
+can broadcast slice k to the k-th Reduce round; ``LAYERS`` maps a kind
+to its layer class, which holds everything else about it.
 """
 from __future__ import annotations
 
@@ -29,18 +30,16 @@ def task_labels(task: str, Y: np.ndarray) -> np.ndarray:
     return Y[:, 0].astype(np.int64) if task == "multiclass" else Y
 
 
+#: slice kind -> layer class
+LAYERS = {c.kind: c for c in (GCNLayer, SAGELayer, GATLayer, DenseLayer)}
 #: whether each layer kind aggregates over self-loop-augmented edges
-NEEDS_SELF_LOOPS = {"gcn": True, "sage": False, "gat": True}
+NEEDS_SELF_LOOPS = {kind: c.self_loops for kind, c in LAYERS.items()}
 
 
-def _make_layer(kind: str, d_in: int, d_out: int, n_heads: int, act: str, seed: int) -> Layer:
-    if kind == "gcn":
-        return GCNLayer(d_in, d_out, act=act, seed=seed)
-    if kind == "sage":
-        return SAGELayer(d_in, d_out, act=act, seed=seed)
-    if kind == "gat":
-        return GATLayer(d_in, d_out, n_heads=n_heads, act=act, seed=seed)
-    raise ValueError(kind)
+def _layer_class(kind: str) -> type[Layer]:
+    if kind not in LAYERS:
+        raise ValueError(f"unknown layer kind {kind!r}; expected one of {sorted(LAYERS)}")
+    return LAYERS[kind]
 
 
 class GNNModel:
@@ -57,16 +56,17 @@ class GNNModel:
         n_heads: int = 1,
         seed: int = 0,
     ):
-        self.kind, self.task, self.n_layers = kind, task, n_layers
-        self.n_heads = n_heads if kind == "gat" else 1
-        act = "elu" if kind == "gat" else "relu"
+        """``n_heads`` > 1 needs a kind with attention heads (GAT); each
+        layer's output width is its bias size (``hidden`` per head)."""
+        self.task, self.n_layers = task, n_layers
+        cls = _layer_class(kind)
+        heads = {} if n_heads == 1 else {"n_heads": n_heads}
         self.layers: list[Layer] = []
         d = d_in
         for i in range(n_layers):
-            lyr = _make_layer(kind, d, hidden, self.n_heads, act, seed + i)
-            self.layers.append(lyr)
-            d = hidden * self.n_heads
-        self.head = DenseLayer(d, n_out, act="id", seed=seed + 100)
+            self.layers.append(cls(d, hidden, seed=seed + i, **heads))
+            d = self.layers[-1].params["b"].size
+        self.head = DenseLayer(d, n_out, seed=seed + 100)
         self.loss_fn, self.metric_fn, self.metric_name = TASKS[task]
 
     # ---- parameter plumbing (flat namespaced dicts for the PS) ----
@@ -129,31 +129,9 @@ class GNNModel:
     # ---- hierarchical model segmentation (§3.4) ----
     def to_slices(self) -> list[dict]:
         """K+1 slices: one per GNN layer + the prediction model."""
-        out = []
-        for lyr in self.layers:
-            spec = {"kind": self.kind, "act": lyr.act}
-            if self.kind == "gat":
-                spec.update(n_heads=lyr.n_heads, d_out=lyr.d_out)
-            spec["params"] = {k: v.copy() for k, v in lyr.params.items()}
-            out.append(spec)
-        out.append({"kind": "dense", "act": self.head.act,
-                    "params": {k: v.copy() for k, v in self.head.params.items()}})
-        return out
+        return [lyr.to_slice() for lyr in self.layers + [self.head]]
 
 
 def layer_from_slice(spec: dict) -> Layer:
     """Rebuild a layer from a slice dict (used by GraphInfer workers)."""
-    p = spec["params"]
-    if spec["kind"] == "gcn":
-        lyr = GCNLayer(*p["W"].shape, act=spec["act"])
-    elif spec["kind"] == "sage":
-        lyr = SAGELayer(*p["Wself"].shape, act=spec["act"])
-    elif spec["kind"] == "gat":
-        lyr = GATLayer(p["W0"].shape[0], spec["d_out"], n_heads=spec["n_heads"], act=spec["act"])
-    elif spec["kind"] == "dense":
-        lyr = DenseLayer(*p["W"].shape, act=spec["act"])
-    else:
-        raise ValueError(spec["kind"])
-    for k in lyr.params:
-        np.copyto(lyr.params[k], p[k])
-    return lyr
+    return _layer_class(spec["kind"]).from_slice(spec)

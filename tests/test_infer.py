@@ -37,8 +37,8 @@ def setup(spark):
     return ds, nodes_df.cache(), edges_df.cache()
 
 
-def _model(ds, kind, k=2, seed=9):
-    return GNNModel(kind, ds.feat_dim, 6, 1, k, "binary", seed=seed)
+def _model(ds, kind, k=2, seed=9, n_heads=1):
+    return GNNModel(kind, ds.feat_dim, 6, 1, k, "binary", n_heads=n_heads, seed=seed)
 
 
 def _local_scores(ds, model, kind):
@@ -62,12 +62,19 @@ def test_slices_count_and_roundtrip(setup):
             np.testing.assert_array_equal(lyr.params[k], v)
 
 
-@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
-def test_graph_infer_matches_local_forward(spark, setup, kind):
+#: (kind, n_heads): every layer kind, and GAT's multi-head slices
+KIND_HEADS = pytest.mark.parametrize(
+    "kind,n_heads", [("gcn", 1), ("sage", 1), ("gat", 1), ("gat", 2)],
+    ids=["gcn", "sage", "gat", "gat-2h"],
+)
+
+
+@KIND_HEADS
+def test_graph_infer_matches_local_forward(spark, setup, kind, n_heads):
     """Every node's distributed score equals the single-machine
     whole-graph forward — the slice-wise pipeline is exact."""
     ds, nodes_df, edges_df = setup
-    model = _model(ds, kind)
+    model = _model(ds, kind, n_heads=n_heads)
     got = run_graph_infer(nodes_df, edges_df, model.to_slices()).toPandas()
     got = got.sort_values("id").reset_index(drop=True)
     want = _local_scores(ds, model, kind)
@@ -77,12 +84,12 @@ def test_graph_infer_matches_local_forward(spark, setup, kind):
     )
 
 
-@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
-def test_original_inference_matches_graph_infer(spark, setup, tmp_path, kind):
+@KIND_HEADS
+def test_original_inference_matches_graph_infer(spark, setup, tmp_path, kind, n_heads):
     """The Original per-GraphFeature baseline produces the same scores —
     it is only slower, never different (Table 5 compares cost only)."""
     ds, nodes_df, edges_df = setup
-    model = _model(ds, kind)
+    model = _model(ds, kind, n_heads=n_heads)
     targets = spark.createDataFrame(pd.DataFrame({"id": ds.nodes["id"][:60]}))
     gf = build_graph_features(nodes_df, edges_df, targets, 2)
     path = str(tmp_path / f"gf_{kind}")

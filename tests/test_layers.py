@@ -127,20 +127,20 @@ def test_isolated_nodes_no_nan():
 # ---------- gradient checks ----------
 @pytest.mark.parametrize("kind", ["add_at", "partitioned"])
 @pytest.mark.parametrize(
-    "layer_fn,self_loops",
+    "layer_fn",
     [
-        (lambda: GCNLayer(3, 2, act="relu", seed=7), True),
-        (lambda: GCNLayer(3, 2, act="id", seed=8), True),
-        (lambda: SAGELayer(3, 2, act="relu", seed=9), False),
-        (lambda: GATLayer(3, 2, n_heads=1, act="elu", seed=10), True),
-        (lambda: GATLayer(3, 2, n_heads=2, act="elu", seed=11), True),
+        lambda: GCNLayer(3, 2, act="relu", seed=7),
+        lambda: GCNLayer(3, 2, act="id", seed=8),
+        lambda: SAGELayer(3, 2, act="relu", seed=9),
+        lambda: GATLayer(3, 2, n_heads=1, act="elu", seed=10),
+        lambda: GATLayer(3, 2, n_heads=2, act="elu", seed=11),
     ],
     ids=["gcn-relu", "gcn-id", "sage", "gat-1h", "gat-2h"],
 )
-def test_layer_gradcheck(layer_fn, self_loops, kind):
+def test_layer_gradcheck(layer_fn, kind):
     lyr = layer_fn()
     lyr.agg = Aggregator(kind=kind, n_partitions=3)
-    e = random_edges(6, 18, seed=12, self_loops=self_loops)
+    e = random_edges(6, 18, seed=12, self_loops=lyr.self_loops)
     X = _X(6, 3, seed=13)
     layer_gradcheck(lyr, X, e, tol=2e-4)
 
@@ -204,17 +204,13 @@ def test_dense_gradcheck():
 
 
 @pytest.mark.parametrize(
-    "layer_fn,self_loops",
-    [
-        (lambda: GCNLayer(3, 3, seed=1), True),
-        (lambda: SAGELayer(3, 3, seed=1), False),
-        (lambda: GATLayer(3, 3, seed=1), True),
-    ],
+    "layer_fn",
+    [lambda: GCNLayer(3, 3, seed=1), lambda: SAGELayer(3, 3, seed=1), lambda: GATLayer(3, 3, seed=1)],
     ids=["gcn", "sage", "gat"],
 )
-def test_kernels_agree_forward(layer_fn, self_loops):
+def test_kernels_agree_forward(layer_fn):
     """add_at / partitioned / (dense for scatter) produce the same H."""
-    e = random_edges(20, 80, seed=20, self_loops=self_loops)
+    e = random_edges(20, 80, seed=20, self_loops=layer_fn().self_loops)
     X = _X(20, 3, seed=21)
     outs = []
     for kind in ("add_at", "partitioned"):

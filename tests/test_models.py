@@ -71,6 +71,7 @@ def test_slices_structure(kind):
     assert len(slices) == 4
     assert [s["kind"] for s in slices[:-1]] == [kind] * 3
     assert slices[-1]["kind"] == "dense"
+    assert all(set(s) == {"kind", "act", "params"} for s in slices)
 
 
 def test_slices_are_copies():
@@ -100,6 +101,8 @@ def test_gat_multihead_output_dim():
     X, e, tgt = _inputs("gat", seed=8)
     H = m.forward_embeddings(X, [e, e])
     assert H.shape == (8, 15)  # hidden * heads
+    with pytest.raises(TypeError):  # only attention layers have heads
+        GNNModel("gcn", 4, 5, 2, 2, "binary", n_heads=3)
 
 
 def test_set_aggregator_propagates():
