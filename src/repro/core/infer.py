@@ -55,7 +55,6 @@ import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..nn.edges import Edges
 from ..nn.models import layer_from_slice
 from .graphfeature import SubgraphRecord
 from .graphflat import (
@@ -68,7 +67,7 @@ from .graphflat import (
     subgraph_edges,
     worker_entry,
 )
-from .vectorize import merge_batch
+from .vectorize import merge_batch, whole_graph_batch
 
 _ROW_SCHEMA = "key long, peer long, w double, kind tinyint, h array<double>"
 _SCORE_SCHEMA = "id long, score array<double>"
@@ -95,14 +94,16 @@ def _score_batch(ids: np.ndarray, scores: np.ndarray) -> pa.RecordBatch:
 def _round_fn(spec: dict, head_spec: dict | None):
     """The merge–apply–propagate reducer of one GNN round.
 
-    Per block of complete key groups: self rows are the destinations
-    (local ids ``[0, b)``), message rows the senders (``[b, b+m)``); every
-    key has a self row (:func:`~repro.core.graphflat.sampled_edges` keeps
-    only edges between nodes, once each). The training layer's forward
-    computes the new embeddings, so served scores keep the training
-    math. With ``head_spec`` the prediction slice is applied and
-    ``(id, score)`` emitted; otherwise the next round's self rows and
-    one message per out-edge row.
+    Each block of complete key groups is one local graph,
+    :func:`~repro.core.vectorize.whole_graph_batch` over its self keys
+    and senders (each node's ``h`` from its first row), one edge per
+    message row, the self rows the targets; every key has a self row
+    (:func:`~repro.core.graphflat.sampled_edges` keeps only edges between
+    nodes, once each). The training layer's forward over ``adj_list``'s
+    adjacency computes the new embeddings, so served scores keep the
+    training math. With ``head_spec`` the prediction slice is applied and
+    ``(id, score)`` emitted; otherwise the next round's self rows and one
+    message per out-edge row.
     """
 
     def fn(groups: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
@@ -110,26 +111,26 @@ def _round_fn(spec: dict, head_spec: dict | None):
         head = None if head_spec is None else layer_from_slice(head_spec)
         for rb in groups:
             key = rb.column("key").to_numpy()
+            peer = rb.column("peer").fill_null(0).to_numpy()
             kind = rb.column("kind").to_numpy()
             w = rb.column("w").to_numpy(zero_copy_only=False)
             is_self, is_msg, is_out = kind == SELF, kind == MSG, kind == OUT
             ids = key[is_self]
             b = ids.size
-            H = _matrix(rb.column("h"))  # the self and message rows, in row order
-            has_h = ~is_out
-            X = np.concatenate([H[is_self[has_h]], H[is_msg[has_h]]])
-            src = np.arange(b, X.shape[0])
-            dst, w_in = np.searchsorted(ids, key[is_msg]), w[is_msg]
-            if layer.self_loops:
-                own = np.arange(b)
-                src, dst = np.concatenate([src, own]), np.concatenate([dst, own])
-                w_in = np.concatenate([w_in, np.ones(b)])
-            Hn = layer.forward(X, Edges.from_arrays(src, dst, w_in, X.shape[0]))[:b]
+            # the node whose h each self or message row carries
+            node = np.where(is_self, key, peer)[~is_out]
+            uniq, carrier = np.unique(node, return_index=True)
+            bg = whole_graph_batch(
+                uniq, _matrix(rb.column("h"))[carrier], peer[is_msg], key[is_msg], w[is_msg],
+                ids, np.empty((b, 0)),
+            )
+            adj = bg.adj_list(1, self_loops=layer.self_loops, pruning=False)[0]
+            Hn = layer.forward(bg.X, adj)[bg.target_idx]
             if head is not None:
                 yield _score_batch(ids, head.forward(Hn))
                 continue
             at = np.searchsorted(ids, key[is_out])
-            to = rb.column("peer").fill_null(0).to_numpy()[is_out]
+            to = peer[is_out]
             first = np.arange(b + to.size) < b  # self rows: null peer and w
             yield pa.RecordBatch.from_arrays(
                 [

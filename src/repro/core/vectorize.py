@@ -5,7 +5,8 @@ into one local graph and vectorized into the three matrices the paper
 names: the adjacency ``A_B`` (COO, edges **sorted by destination**),
 the node-feature matrix ``X_B``, and (edge weights standing in for)
 ``E_B`` — plus target indices, labels, and each node's distance to the
-nearest target, which drives pruning.
+nearest target, which drives pruning. :func:`merge_batch` and
+:func:`whole_graph_batch` are front ends of one builder, one edge rule.
 
 Pruning: for a K-layer model, layer k (0-indexed) only needs edges into
 nodes that are still ≤ K−1−k hops from some target (the receptive field
@@ -70,52 +71,55 @@ class BatchGraph:
         return out
 
 
+def _local_graph(
+    node_ids: np.ndarray,
+    X: np.ndarray,
+    dists: np.ndarray,
+    e_src: np.ndarray,
+    e_dst: np.ndarray,
+    e_w: np.ndarray,
+    target_ids: np.ndarray,
+    labels: np.ndarray,
+) -> BatchGraph:
+    """The one local-graph builder: maps the sorted global ``node_ids``
+    to local ids, keeps the first copy of each ``(dst, src)`` edge and
+    sorts the edges by ``(dst, src)``, satisfying both the paper's A_B
+    invariant and the edge-partitioning kernel."""
+    ls, ld = np.searchsorted(node_ids, e_src), np.searchsorted(node_ids, e_dst)
+    _, first = np.unique(ld * node_ids.shape[0] + ls, return_index=True)
+    return BatchGraph(
+        node_ids=node_ids,
+        X=X,
+        dists=dists,
+        e_src=ls[first],
+        e_dst=ld[first],
+        e_w=e_w[first],
+        target_idx=np.searchsorted(node_ids, target_ids),
+        labels=labels,
+    )
+
+
 def merge_batch(records: list[SubgraphRecord]) -> BatchGraph:
     """Merge the subgraphs of a batch (§3.3.1) into one BatchGraph.
 
     Overlapping nodes dedup to one row (min distance over the batch —
-    d(V_B, u) of the pruning section); duplicate edges dedup to one COO
-    entry. Output edges are sorted by (dst, src), satisfying both the
-    paper's A_B invariant and the edge-partitioning kernel.
+    d(V_B, u) of the pruning section), duplicate edges to their first copy.
     """
     if not records:
         raise ValueError("empty batch")
     gid = np.concatenate([r.node_ids for r in records])
-    gdist = np.concatenate([r.dists for r in records])
-    gfeat = np.concatenate([r.feats for r in records], axis=0)
-    uniq, first = np.unique(gid, return_index=True)
-    # min distance per global id (np.minimum.at over the dedup mapping)
-    pos = np.searchsorted(uniq, gid)
+    uniq, first, pos = np.unique(gid, return_index=True, return_inverse=True)
     dists = np.full(uniq.shape[0], np.iinfo(np.int64).max)
-    np.minimum.at(dists, pos, gdist)
-    X = gfeat[first]
-
-    es = np.concatenate([r.e_src for r in records])
-    ed = np.concatenate([r.e_dst for r in records])
-    ew = np.concatenate([r.e_w for r in records])
-    ls, ld = np.searchsorted(uniq, es), np.searchsorted(uniq, ed)
-    # dedup edges on (dst, src); one w per edge in graphflat.sampled_edges
-    key = ld * uniq.shape[0] + ls
-    order = np.argsort(key, kind="stable")
-    keep = np.empty(order.shape[0], dtype=bool)
-    if order.size:
-        sk = key[order]
-        keep[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=keep[1:])
-    sel = order[keep]
-
-    roots = np.array([r.root for r in records], dtype=np.int64)
-    target_idx = np.searchsorted(uniq, roots)
-    labels = np.stack([r.label for r in records])
-    return BatchGraph(
-        node_ids=uniq,
-        X=X,
-        dists=dists,
-        e_src=ls[sel],
-        e_dst=ld[sel],
-        e_w=ew[sel],
-        target_idx=target_idx,
-        labels=labels,
+    np.minimum.at(dists, pos, np.concatenate([r.dists for r in records]))
+    return _local_graph(
+        uniq,
+        np.concatenate([r.feats for r in records], axis=0)[first],
+        dists,
+        np.concatenate([r.e_src for r in records]),
+        np.concatenate([r.e_dst for r in records]),
+        np.concatenate([r.e_w for r in records]),
+        np.array([r.root for r in records], dtype=np.int64),
+        np.stack([r.label for r in records]),
     )
 
 
@@ -128,20 +132,8 @@ def whole_graph_batch(
     target_ids: np.ndarray,
     labels: np.ndarray,
 ) -> BatchGraph:
-    """The in-memory whole-graph 'batch' the DGL/PyG stand-ins train on
-    (and the reference for Theorem-1 tests). Distances only matter for
-    pruning, which whole-graph training does not use, so every node's
-    distance is 0."""
-    order = np.lexsort((e_src, e_dst))
-    lsrc = np.searchsorted(node_ids, e_src[order])
-    ldst = np.searchsorted(node_ids, e_dst[order])
-    return BatchGraph(
-        node_ids=node_ids,
-        X=X,
-        dists=np.zeros(node_ids.shape[0], dtype=np.int64),
-        e_src=lsrc,
-        e_dst=ldst,
-        e_w=e_w[order],
-        target_idx=np.searchsorted(node_ids, target_ids),
-        labels=labels,
-    )
+    """A whole graph, or one GraphInfer block, over the sorted ``node_ids``:
+    what the DGL/PyG stand-ins train on and the Theorem-1 reference. Every
+    node's distance is 0: pruning, its only reader, is off here."""
+    dists = np.zeros(node_ids.shape[0], dtype=np.int64)
+    return _local_graph(node_ids, X, dists, e_src, e_dst, e_w, target_ids, labels)

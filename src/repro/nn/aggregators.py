@@ -13,8 +13,8 @@ CPU trade-off with two kernels:
                     ``np.add.reduceat`` over ``t`` destination-disjoint
                     partitions, on real threads. This is AGL's
                     edge-partitioning kernel; the DGL stand-in runs it
-                    too. ``t`` and the thread pool default to the
-                    machine's core count.
+                    too. ``t`` and the thread pool are the machine's
+                    core count.
 
 The kernel choice applies to the ``[m, d]`` row reductions
 (:meth:`Aggregator.gather_scale_reduce`). GAT's 1-D segment sums and
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: threads of the kernel pool and default partitions of ``partitioned``
+#: threads of the kernel pool and partitions of ``partitioned``
 N_CORES = os.cpu_count() or 1
 
 _POOL: ThreadPoolExecutor | None = None
@@ -94,14 +94,12 @@ class Aggregator:
 
     Parameters
     ----------
-    kind : {"add_at", "partitioned"}
-    n_partitions : number of destination-disjoint partitions for the
-        ``partitioned`` kernel, run on a thread pool (numpy releases the
-        GIL in ``reduceat``); one per core by default.
+    kind : {"add_at", "partitioned"}; ``partitioned`` splits the edges
+        into ``N_CORES`` destination-disjoint partitions, run on a
+        thread pool (numpy releases the GIL in ``reduceat``).
     """
 
     kind: str = "partitioned"
-    n_partitions: int = N_CORES
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -148,7 +146,7 @@ class Aggregator:
                 vals = vals * scale[lo:hi, None]
             out[uniq[s_lo:s_hi]] = np.add.reduceat(vals, seg - lo, axis=0)
 
-        spans = edge_partitions(m, starts, self.n_partitions)
+        spans = edge_partitions(m, starts, N_CORES)
         if len(spans) > 1:
             list(_pool().map(lambda s: reduce_span(*s), spans))
         else:

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
+from repro.nn import aggregators
 from repro.nn.edges import Edges
 
 
@@ -16,6 +19,16 @@ def random_edges(n_nodes: int, m: int, seed: int = 0, self_loops: bool = False) 
     w = rng.random(m) + 0.1
     e = Edges.from_arrays(src, dst, w, n_nodes)
     return e.with_self_loops() if self_loops else e
+
+
+@contextmanager
+def partitions(t: int):
+    """Run the ``partitioned`` kernel with ``t`` partitions by patching
+    the module constant it reads. The shared kernel pool is made first,
+    so its thread count stays the machine's core count."""
+    aggregators._pool()
+    with mock.patch.object(aggregators, "N_CORES", t):
+        yield
 
 
 def run_callers(fn, concurrent: bool, n_callers: int = 4) -> list:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.aggregators import Aggregator, edge_partitions, segment_starts
-from tests.nn_utils import run_callers
+from tests.nn_utils import partitions, run_callers
 
 KINDS = ["add_at", "partitioned"]
 
@@ -70,10 +70,11 @@ def test_partitioned_any_partition_count(t, concurrent):
         rng = np.random.default_rng(t + 1000 * i)
         dst, vals = _sorted_edges(rng, 20, 300)
         ref = _row_sum(Aggregator(kind="add_at"), vals, dst, 20)
-        got = _row_sum(Aggregator(kind="partitioned", n_partitions=t), vals, dst, 20)
+        got = _row_sum(Aggregator(kind="partitioned"), vals, dst, 20)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
-    run_callers(check, concurrent)
+    with partitions(t):
+        run_callers(check, concurrent)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -154,5 +155,6 @@ def test_property_partitioned_equals_add_at(args):
     rng = np.random.default_rng(len(dst_list))
     vals = rng.standard_normal((dst.size, 3))
     ref = _row_sum(Aggregator(kind="add_at"), vals, dst, n)
-    got = _row_sum(Aggregator(kind="partitioned", n_partitions=t), vals, dst, n)
+    with partitions(t):
+        got = _row_sum(Aggregator(kind="partitioned"), vals, dst, n)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)

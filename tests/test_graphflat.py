@@ -4,6 +4,7 @@ subgraph edge-set rule (in-edges of members at distance ≤ K−1)."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import re
 import threading
 
@@ -18,7 +19,7 @@ from pyspark.sql import functions as F
 from repro.core.graphfeature import collect_records
 from repro.core import graphflat
 from repro.core.graphflat import build_graph_features, khop_members, subgraph_edges
-from repro.graphs.generators import uug_lite
+from repro.graphs.generators import ppi_lite, uug_lite
 from tests.graphflat_reference import graphflat_message_passing
 from tests.oracle import assert_equivalent
 
@@ -226,6 +227,41 @@ def test_graph_features_independent_of_partitioning(spark):
             spark.conf.unset(k) if v is None else spark.conf.set(k, v)
     assert len(got[0]) == 40
     assert got[0] == got[1] == got[2]
+
+
+#: (dataset, K, max_degree) -> sha256 prefix of the root-sorted
+#: ``(int64 root, gf)`` records over every node, from gf_digest
+GF_PINNED = {
+    ("uug_lite", 1, None): "f2fb05149209cd65",
+    ("uug_lite", 1, 4): "d296a27ddd382159",
+    ("uug_lite", 2, None): "1fe37a8344f6dbd3",
+    ("uug_lite", 2, 4): "94e8c81a533ce363",
+    ("ppi_lite", 2, 4): "b07dc7f22f12818c",
+}
+PIN_GRAPHS = {
+    "uug_lite": lambda: uug_lite(n=60, seed=16),
+    "ppi_lite": lambda: ppi_lite(
+        n_graphs=2, nodes_per_graph=40, n_train_graphs=1, n_val_graphs=1, seed=16
+    ),
+}
+
+
+def gf_digest(gf: DataFrame) -> str:
+    h = hashlib.sha256()
+    for r in sorted(gf.collect(), key=lambda r: r["root"]):
+        h.update(np.int64(r["root"]).tobytes())
+        h.update(bytes(r["gf"]))
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,k,max_degree", list(GF_PINNED))
+def test_stored_graph_features_are_pinned(spark, name, k, max_degree):
+    """Every stored GraphFeature stays byte for byte what it was when
+    pinned (numpy 1.26, pyspark 4.1): no refactor of GraphFlat, the
+    sampler or the record codec may change the stored records."""
+    nodes_df, edges_df = PIN_GRAPHS[name]().to_spark(spark)
+    gf = build_graph_features(nodes_df, edges_df, nodes_df.select("id"), k, max_degree=max_degree)
+    assert gf_digest(gf) == GF_PINNED[(name, k, max_degree)]
 
 
 def test_key_groups_long_group_is_joined_once(monkeypatch):

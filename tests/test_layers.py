@@ -9,7 +9,9 @@ from repro.core.vectorize import BatchGraph
 from repro.nn.aggregators import Aggregator
 from repro.nn.edges import Edges
 from repro.nn.layers import DenseLayer, GATLayer, GCNLayer, SAGELayer
-from tests.nn_utils import gat_backward_edgewise, layer_gradcheck, random_edges, run_callers
+from tests.nn_utils import (
+    gat_backward_edgewise, layer_gradcheck, partitions, random_edges, run_callers,
+)
 
 
 def _X(n, d, seed=0):
@@ -139,10 +141,11 @@ def test_isolated_nodes_no_nan():
 )
 def test_layer_gradcheck(layer_fn, kind):
     lyr = layer_fn()
-    lyr.agg = Aggregator(kind=kind, n_partitions=3)
+    lyr.agg = Aggregator(kind=kind)
     e = random_edges(6, 18, seed=12, self_loops=lyr.self_loops)
     X = _X(6, 3, seed=13)
-    layer_gradcheck(lyr, X, e, tol=2e-4)
+    with partitions(3):
+        layer_gradcheck(lyr, X, e, tol=2e-4)
 
 
 def _oracle_adjacency(which: str) -> Edges:
@@ -173,7 +176,7 @@ def test_gat_backward_matches_edgewise_oracle(which, kind, concurrent):
 
     def check(i):
         lyr = GATLayer(5, 3, n_heads=2, act="elu", seed=17 + 100 * i)
-        lyr.agg = Aggregator(kind=kind, n_partitions=3)
+        lyr.agg = Aggregator(kind=kind)
         X = _X(9, 5, seed=18 + 100 * i)
         R = np.random.default_rng(19 + 100 * i).standard_normal((9, 6))
         lyr.zero_grad()
@@ -184,7 +187,8 @@ def test_gat_backward_matches_edgewise_oracle(which, kind, concurrent):
         for name, g in ref_grads.items():
             np.testing.assert_allclose(lyr.grads[name], g, rtol=1e-10, atol=1e-10, err_msg=name)
 
-    run_callers(check, concurrent)
+    with partitions(3):
+        run_callers(check, concurrent)
 
 
 def test_dense_gradcheck():
@@ -215,6 +219,7 @@ def test_kernels_agree_forward(layer_fn):
     outs = []
     for kind in ("add_at", "partitioned"):
         lyr = layer_fn()
-        lyr.agg = Aggregator(kind=kind, n_partitions=5)
-        outs.append(lyr.forward(X, e))
+        lyr.agg = Aggregator(kind=kind)
+        with partitions(5):
+            outs.append(lyr.forward(X, e))
     np.testing.assert_allclose(outs[0], outs[1], rtol=1e-10, atol=1e-10)

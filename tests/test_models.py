@@ -107,7 +107,7 @@ def test_gat_multihead_output_dim():
 
 def test_set_aggregator_propagates():
     m = GNNModel("gcn", 4, 5, 2, 2, "binary", seed=9)
-    agg = Aggregator("partitioned", n_partitions=3)
+    agg = Aggregator("partitioned")
     m.set_aggregator(agg)
     assert all(l.agg is agg for l in m.layers) and m.head.agg is agg
 

@@ -55,6 +55,13 @@ def test_merge_dedups_duplicate_edges():
     r2 = _rec(5, [5, 2], [0, 1], [[1.0], [2.0]], [2], [5], [0.7])
     bg = merge_batch([r1, r2])
     assert bg.n_edges == 1 and bg.e_w.tolist() == [0.7]
+    # the whole-graph front end keeps the first copy of a duplicated edge too
+    wg = whole_graph_batch(
+        bg.node_ids, bg.X, np.array([2, 2]), np.array([5, 5]), np.array([0.7, 0.3]),
+        np.array([5]), bg.labels[:1],
+    )
+    assert wg.n_edges == 1 and wg.e_w.tolist() == [0.7]
+    assert wg.e_src.tolist() == bg.e_src.tolist() and wg.e_dst.tolist() == bg.e_dst.tolist()
 
 
 def test_edges_sorted_by_dst_then_src():
