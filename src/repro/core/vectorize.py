@@ -108,9 +108,9 @@ def merge_batch(records: list[SubgraphRecord]) -> BatchGraph:
     if not records:
         raise ValueError("empty batch")
     gid = np.concatenate([r.node_ids for r in records])
-    uniq, first, pos = np.unique(gid, return_index=True, return_inverse=True)
+    uniq, first = np.unique(gid, return_index=True)
     dists = np.full(uniq.shape[0], np.iinfo(np.int64).max)
-    np.minimum.at(dists, pos, np.concatenate([r.dists for r in records]))
+    np.minimum.at(dists, np.searchsorted(uniq, gid), np.concatenate([r.dists for r in records]))
     return _local_graph(
         uniq,
         np.concatenate([r.feats for r in records], axis=0)[first],
