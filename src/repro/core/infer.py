@@ -5,12 +5,12 @@ segmentation). Inference runs over the *whole* graph, and each GNN
 round is one MapReduce job with the paper's merge–apply–propagate
 reducer, expressed as DataFrame dataflow:
 
-- Map (once): one row table with columns ``(key, peer, w, kind, h)``.
-  *Self* rows carry a node's layer-0 embedding (``key`` = node);
-  *message* rows carry a sender's embedding to an in-edge destination
-  (``key`` = dst, ``peer`` = src; one ``edges ⋈ nodes`` join);
-  *out-edge* rows give each node its routing (``key`` = src,
-  ``peer`` = dst, null ``h``).
+- Map (once): one row table with columns ``(key, peer, w, kind, h)``,
+  ``h`` being ``peer``'s embedding. *Self* rows are a node's message to
+  itself (``key`` = ``peer`` = node); *message* rows carry a sender's
+  embedding to an in-edge destination (``key`` = dst, ``peer`` = src;
+  one ``edges ⋈ nodes`` join); *out-edge* rows give each node its
+  routing (``key`` = src, ``peer`` = dst, null ``h``).
 - Reduce round k < K: one keyed reduce
   (:func:`~repro.core.graphflat.sort_by_key` by ``(key, kind, peer)``,
   the only shuffle of the round, then
@@ -95,15 +95,15 @@ def _round_fn(spec: dict, head_spec: dict | None):
     """The merge–apply–propagate reducer of one GNN round.
 
     Each block of complete key groups is one local graph,
-    :func:`~repro.core.vectorize.whole_graph_batch` over its self keys
-    and senders (each node's ``h`` from its first row), one edge per
-    message row, the self rows the targets; every key has a self row
-    (:func:`~repro.core.graphflat.sampled_edges` keeps only edges between
-    nodes, once each). The training layer's forward over ``adj_list``'s
-    adjacency computes the new embeddings, so served scores keep the
-    training math. With ``head_spec`` the prediction slice is applied and
-    ``(id, score)`` emitted; otherwise the next round's self rows and one
-    message per out-edge row.
+    :func:`~repro.core.vectorize.whole_graph_batch` over the ``peer`` of
+    its self and message rows (each one's ``h`` from its first row), one
+    edge per message row, the self rows the targets; every key has a self
+    row (:func:`~repro.core.graphflat.sampled_edges` keeps only edges
+    between nodes, once each). The training layer's forward over the
+    edges into the self rows (``adj_list(1, pruning=True)``) computes the
+    new embeddings with the training math. With ``head_spec`` the
+    prediction slice is applied and ``(id, score)`` emitted; otherwise the
+    next round's self rows and one message per out-edge row.
     """
 
     def fn(groups: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
@@ -111,32 +111,29 @@ def _round_fn(spec: dict, head_spec: dict | None):
         head = None if head_spec is None else layer_from_slice(head_spec)
         for rb in groups:
             key = rb.column("key").to_numpy()
-            peer = rb.column("peer").fill_null(0).to_numpy()
+            peer = rb.column("peer").to_numpy()
             kind = rb.column("kind").to_numpy()
             w = rb.column("w").to_numpy(zero_copy_only=False)
-            is_self, is_msg, is_out = kind == SELF, kind == MSG, kind == OUT
-            ids = key[is_self]
+            is_msg, is_out = kind == MSG, kind == OUT
+            ids = key[kind == SELF]
             b = ids.size
-            # the node whose h each self or message row carries
-            node = np.where(is_self, key, peer)[~is_out]
-            uniq, carrier = np.unique(node, return_index=True)
+            uniq, carrier = np.unique(peer[~is_out], return_index=True)
             bg = whole_graph_batch(
                 uniq, _matrix(rb.column("h"))[carrier], peer[is_msg], key[is_msg], w[is_msg],
                 ids, np.empty((b, 0)),
             )
-            adj = bg.adj_list(1, self_loops=layer.self_loops, pruning=False)[0]
+            adj = bg.adj_list(1, self_loops=layer.self_loops, pruning=True)[0]
             Hn = layer.forward(bg.X, adj)[bg.target_idx]
             if head is not None:
                 yield _score_batch(ids, head.forward(Hn))
                 continue
             at = np.searchsorted(ids, key[is_out])
             to = peer[is_out]
-            first = np.arange(b + to.size) < b  # self rows: null peer and w
             yield pa.RecordBatch.from_arrays(
                 [
                     pa.array(np.concatenate([ids, to])),
-                    pa.array(np.concatenate([ids, ids[at]]), mask=first),
-                    pa.array(np.concatenate([np.ones(b), w[is_out]]), mask=first),
+                    pa.array(np.concatenate([ids, ids[at]])),
+                    pa.array(np.concatenate([np.ones(b), w[is_out]])),
                     pa.array(np.repeat(np.int8([SELF, MSG]), [b, to.size])),
                     _list_column(np.concatenate([Hn, Hn[at]])),
                 ],
@@ -161,13 +158,13 @@ def _head_fn(spec: dict):
 
 
 def _rows(
-    df: DataFrame, key: str, peer: str | None, w: str | None, kind: int, h: str | None
+    df: DataFrame, key: str, peer: str, w: str | None, kind: int, h: str | None
 ) -> DataFrame:
     """``df`` as round-table rows; a ``None`` column is null."""
     col = lambda name: F.col(name) if name else F.lit(None)
     return df.select(
         F.col(key).alias("key"),
-        col(peer).cast("long").alias("peer"),
+        F.col(peer).cast("long").alias("peer"),
         col(w).cast("double").alias("w"),
         F.lit(kind).cast("tinyint").alias("kind"),
         col(h).cast("array<double>").alias("h"),
@@ -180,7 +177,7 @@ def _round_tables(nodes: DataFrame, edges: DataFrame, more_rounds: bool):
     ``more_rounds`` follow), shuffled and sorted, and the out-edge rows
     each later round but the last adds to its input."""
     senders = nodes.select(F.col("id").alias("src"), "feat")
-    rows = _rows(nodes, "id", None, None, SELF, "feat").unionByName(
+    rows = _rows(nodes, "id", "id", None, SELF, "feat").unionByName(
         _rows(edges.join(senders, "src"), "dst", "src", "w", MSG, "feat")
     )
     out_edges = _rows(edges, "src", "dst", "w", OUT, None)

@@ -133,7 +133,9 @@ def whole_graph_batch(
     labels: np.ndarray,
 ) -> BatchGraph:
     """A whole graph, or one GraphInfer block, over the sorted ``node_ids``:
-    what the DGL/PyG stand-ins train on and the Theorem-1 reference. Every
-    node's distance is 0: pruning, its only reader, is off here."""
-    dists = np.zeros(node_ids.shape[0], dtype=np.int64)
+    what the DGL/PyG stand-ins train on and the Theorem-1 reference. A
+    node's distance is 0 at a target and 1 elsewhere: a lower bound on its
+    hop distance, so pruning drops no needed edge (exact in a GraphInfer
+    block, where every other node sends to a target)."""
+    dists = np.isin(node_ids, target_ids, invert=True).astype(np.int64)
     return _local_graph(node_ids, X, dists, e_src, e_dst, e_w, target_ids, labels)

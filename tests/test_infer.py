@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,46 @@ def test_graph_infer_matches_local_forward(spark, setup, kind, n_heads):
     np.testing.assert_allclose(
         np.array([s[0] for s in got["score"]]), want[:, 0], rtol=1e-8, atol=1e-8
     )
+
+
+@KIND_HEADS
+def test_round_reducer_emits_the_block_forward_with_every_peer(kind, n_heads):
+    """One round-0 block, built by hand and sorted by ``(key, kind, peer)``:
+    node 7 only sends, node 2 sends and has a self row, node 3 has a self
+    row and no messages. The reducer's self rows carry the layer forward
+    over the block, bit for bit, and every row it emits has a ``peer``,
+    ``key`` itself on a self row."""
+    S, M, O = infer.SELF, infer.MSG, infer.OUT
+    X = dict(zip([1, 2, 3, 7], np.random.default_rng(5).normal(size=(4, 3))))
+    # (key, peer, w, kind): in-edges 7→1, 2→1, 7→2; out-edges 1→9, 2→1, 3→9
+    rows = [(1, 1, None, S), (1, 2, 0.5, M), (1, 7, 2.0, M), (1, 9, 1.5, O),
+            (2, 2, None, S), (2, 7, 0.25, M), (2, 1, 0.5, O),
+            (3, 3, None, S), (3, 9, 3.0, O)]
+    key, peer, w, kinds = map(list, zip(*rows))
+    rb = pa.RecordBatch.from_arrays([
+        pa.array(key, pa.int64()), pa.array(peer, pa.int64()), pa.array(w, pa.float64()),
+        pa.array(kinds, pa.int8()),
+        pa.array([None if k == O else X[p].tolist() for p, k in zip(peer, kinds)],
+                 pa.list_(pa.float64())),
+    ], names=["key", "peer", "w", "kind", "h"])
+    spec = GNNModel(kind, 3, 4, 1, 1, "binary", n_heads=n_heads, seed=2).to_slices()[0]
+    out = pa.Table.from_batches(list(infer._round_fn(spec, None)(iter([rb]))))
+
+    layer = layer_from_slice(spec)
+    ids = np.array([1, 2, 3, 7])
+    bg = whole_graph_batch(
+        ids, np.stack([X[i] for i in ids]), np.array([2, 7, 7]), np.array([1, 1, 2]),
+        np.array([0.5, 2.0, 0.25]), np.array([1, 2, 3]), np.empty((3, 0)),
+    )
+    want = layer.forward(
+        bg.X, bg.adj_list(1, self_loops=layer.self_loops, pruning=False)[0]
+    )[bg.target_idx]
+    got = out.to_pydict()
+    assert out.column("peer").null_count == 0
+    self_rows = [i for i, k in enumerate(got["kind"]) if k == S]
+    assert [got["key"][i] for i in self_rows] == [1, 2, 3]
+    assert [got["peer"][i] for i in self_rows] == [1, 2, 3]
+    np.testing.assert_array_equal(np.array([got["h"][i] for i in self_rows]), want)
 
 
 @KIND_HEADS

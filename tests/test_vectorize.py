@@ -62,6 +62,8 @@ def test_merge_dedups_duplicate_edges():
     )
     assert wg.n_edges == 1 and wg.e_w.tolist() == [0.7]
     assert wg.e_src.tolist() == bg.e_src.tolist() and wg.e_dst.tolist() == bg.e_dst.tolist()
+    # its distances: 0 at the targets, 1 elsewhere
+    np.testing.assert_array_equal(wg.dists, [1, 0])
 
 
 def test_edges_sorted_by_dst_then_src():
@@ -158,21 +160,23 @@ def test_theorem1_graphfeature_equals_whole_graph(uug_gfs, kind):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pruning_preserves_target_logits(uug_gfs, spark, kind, k):
     """A_B^(k) pruning removes only computation that cannot reach the
-    targets: logits must match the unpruned forward exactly."""
+    targets: logits must match the unpruned forward exactly, on the merged
+    records and on the whole graph, whose distances are only lower bounds."""
     ds, _ = uug_gfs
     nodes_df, edges_df = ds.to_spark(spark)
-    targets = spark.createDataFrame(pd.DataFrame({"id": ds.split_ids("train")[:8]}))
+    target_ids = ds.split_ids("train")[:8]
+    targets = spark.createDataFrame(pd.DataFrame({"id": target_ids}))
     recs = collect_records(build_graph_features(nodes_df, edges_df, targets, k))
-    bg = merge_batch(recs)
     model = GNNModel(kind, ds.feat_dim, 6, 1, k, "binary", seed=4)
     self_loops = NEEDS_SELF_LOOPS[kind]
-    out_plain = model.forward(
-        bg.X, bg.adj_list(k, self_loops=self_loops, pruning=False), bg.target_idx
-    )
-    out_pruned = model.forward(
-        bg.X, bg.adj_list(k, self_loops=self_loops, pruning=True), bg.target_idx
-    )
-    np.testing.assert_allclose(out_pruned, out_plain, rtol=1e-10, atol=1e-10)
+    for bg in (merge_batch(recs), _whole_graph(ds, target_ids)):
+        out_plain = model.forward(
+            bg.X, bg.adj_list(k, self_loops=self_loops, pruning=False), bg.target_idx
+        )
+        out_pruned = model.forward(
+            bg.X, bg.adj_list(k, self_loops=self_loops, pruning=True), bg.target_idx
+        )
+        np.testing.assert_allclose(out_pruned, out_plain, rtol=1e-10, atol=1e-10)
 
 
 def test_pruning_reduces_edge_count(uug_gfs):
