@@ -223,12 +223,14 @@ def sampled_edges(
 
 
 def khop_members(edges: DataFrame, targets: DataFrame, k: int) -> DataFrame:
-    """(root, id, dist) rows: all nodes within k in-hops of each root.
+    """(root, id, dist) rows: all nodes within k in-hops of each root,
+    each ``(root, id)`` once.
 
-    ``targets`` needs an ``id`` column. ``dist`` is the exact shortest
-    in-path length (ties resolved by min across rounds).
+    ``targets`` needs an ``id`` column; a repeated id is one root.
+    ``dist`` is the exact shortest in-path length (ties resolved by min
+    across rounds).
     """
-    members = targets.select(
+    members = targets.select("id").distinct().select(
         F.col("id").alias("root"), F.col("id"), F.lit(0).alias("dist")
     )
     frontier = members
@@ -258,10 +260,10 @@ def subgraph_edges(edges: DataFrame, members: DataFrame, k: int) -> DataFrame:
 def _assemble(groups: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
     """Each root's sorted node and edge rows → one ``(root, gf)`` record.
 
-    A root with no node row of its own emits nothing. An edge is kept
-    only when both endpoints have a node row: an endpoint with no node
-    row has no features, and a consumer would otherwise map it onto
-    some other node."""
+    A root with no node row of its own emits nothing. The rows are
+    encoded as they come: under :func:`sampled_edges`' ingest contract
+    both endpoints of every edge row are node rows of its group, and
+    :func:`khop_members` lists each member once."""
     for rb in groups:
         key = rb.column("key").to_numpy()
         u, v = rb.column("u").to_numpy(), rb.column("v").to_numpy()
@@ -278,17 +280,15 @@ def _assemble(groups: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
             if i == n or ids[i] != key[s]:
                 continue
             lab = label[s + i].values
-            src, dst = u[s + n : e], v[s + n : e]
-            keep = np.isin(src, ids) & np.isin(dst, ids)
             rec = SubgraphRecord(
                 root=key[s],
                 label=np.empty(0) if lab is None else lab.to_numpy(),
                 node_ids=ids,
                 dists=v[s : s + n],
                 feats=X[at[s] : at[s] + n],
-                e_src=src[keep],
-                e_dst=dst[keep],
-                e_w=w[s + n : e][keep],
+                e_src=u[s + n : e],
+                e_dst=v[s + n : e],
+                e_w=w[s + n : e],
             )
             roots.append(key[s])
             gf.append(rec.to_bytes())

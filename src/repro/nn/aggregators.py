@@ -39,16 +39,10 @@ import numpy as np
 #: threads of the kernel pool and partitions of ``partitioned``
 N_CORES = os.cpu_count() or 1
 
-_POOL: ThreadPoolExecutor | None = None
+#: the kernel pool; it starts its threads on its first task
+_POOL = ThreadPoolExecutor(max_workers=N_CORES)
 
 KINDS = ("add_at", "partitioned")
-
-
-def _pool() -> ThreadPoolExecutor:
-    global _POOL
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=N_CORES)
-    return _POOL
 
 
 def segment_starts(sorted_dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +142,7 @@ class Aggregator:
 
         spans = edge_partitions(m, starts, N_CORES)
         if len(spans) > 1:
-            list(_pool().map(lambda s: reduce_span(*s), spans))
+            list(_POOL.map(lambda s: reduce_span(*s), spans))
         else:
             reduce_span(*spans[0])
         return out

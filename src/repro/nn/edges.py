@@ -58,7 +58,8 @@ class Edges:
         )
 
     def in_degrees(self, weighted: bool = False) -> np.ndarray:
-        w = self.w if weighted else None
+        """In-edges per node, or with ``weighted`` the sum of their ``|w|``."""
+        w = np.abs(self.w) if weighted else None
         return np.bincount(self.dst, weights=w, minlength=self.n_nodes).astype(np.float64)
 
     def aggregate(

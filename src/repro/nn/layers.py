@@ -88,9 +88,11 @@ class Layer:
 class GCNLayer(Layer):
     """H' = act( Â H W + b ) with Â = mean over {v} ∪ N_v^+.
 
-    Expects ``edges`` *with* self-loops; edge weights are re-normalised
-    per destination (weighted mean), matching Kipf-style propagation on
-    a directed graph (in-degree normalisation).
+    Expects ``edges`` *with* self-loops; each edge weight is divided by
+    the sum of ``|w|`` over its destination's in-edges (a weighted mean
+    for non-negative weights), matching Kipf-style propagation on a
+    directed graph (in-degree normalisation). With signed weights each
+    row of Â still has an absolute sum of at most 1.
     """
 
     kind, self_loops = "gcn", True

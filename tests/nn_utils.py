@@ -24,9 +24,8 @@ def random_edges(n_nodes: int, m: int, seed: int = 0, self_loops: bool = False) 
 @contextmanager
 def partitions(t: int):
     """Run the ``partitioned`` kernel with ``t`` partitions by patching
-    the module constant it reads. The shared kernel pool is made first,
-    so its thread count stays the machine's core count."""
-    aggregators._pool()
+    the module constant it reads. The shared kernel pool, made at
+    import, keeps the machine's core count as its thread count."""
     with mock.patch.object(aggregators, "N_CORES", t):
         yield
 

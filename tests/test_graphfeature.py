@@ -84,9 +84,9 @@ def test_empty_edges_record_roundtrip():
 def test_encode_reads_list_offsets_of_a_sliced_batch():
     """GraphFlat's assembly reducer reads the ``feat`` and ``label``
     list columns of a batch sliced out of a larger one (non-zero first
-    offsets, as ``_key_groups`` hands it), drops an edge whose endpoint
-    has no node row, gives a null label as an empty segment and emits
-    nothing for a root without a node row of its own."""
+    offsets, as ``_key_groups`` hands it), gives a null label as an
+    empty segment and emits nothing for a root without a node row of
+    its own."""
     node_rows = {  # key -> [(id, dist, feat, label)]
         5: [(5, 0, [0.0, 0.5], [1.0])],
         7: [(3, 1, [2.5, 3.5], None), (7, 0, [0.5, 1.5], [1.0]), (9, 2, [4.5, 5.5], None)],
@@ -94,7 +94,7 @@ def test_encode_reads_list_offsets_of_a_sliced_batch():
     }
     edge_rows = {  # key -> [(src, dst, w)], sorted
         5: [(5, 5, 9.0)],
-        7: [(-1, 7, 3.0), (3, 7, 1.0), (9, 3, 0.25)],
+        7: [(3, 7, 1.0), (9, 3, 0.25)],
         8: [],
     }
     rows = [
@@ -116,7 +116,7 @@ def test_encode_reads_list_offsets_of_a_sliced_batch():
         root=7, label=np.array([1.0]), node_ids=np.array([3, 7, 9]), dists=np.array([1, 0, 2]),
         feats=np.array([[2.5, 3.5], [0.5, 1.5], [4.5, 5.5]]),
         e_src=np.array([3, 9]), e_dst=np.array([7, 3]), e_w=np.array([1.0, 0.25]),
-    )  # the edge from -1, which has no node, is dropped
+    )
     eight = SubgraphRecord(
         root=8, label=np.array([]), node_ids=np.array([8]), dists=np.array([0]),
         feats=np.array([[6.0, 7.0]]), e_src=np.empty(0, np.int64),

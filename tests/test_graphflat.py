@@ -19,6 +19,7 @@ from pyspark.sql import functions as F
 from repro.core.graphfeature import collect_records
 from repro.core import graphflat
 from repro.core.graphflat import build_graph_features, khop_members, subgraph_edges
+from repro.core.infer import inference_cost_report
 from repro.graphs.generators import ppi_lite, uug_lite
 from tests.graphflat_reference import graphflat_message_passing
 from tests.oracle import assert_equivalent
@@ -199,6 +200,26 @@ def test_targets_without_inedges_still_emitted(spark):
     t = spark.createDataFrame(pd.DataFrame({"id": [0]}))
     recs = collect_records(build_graph_features(nd, ed, t, 2))
     assert len(recs) == 1 and recs[0].n_edges == 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_repeated_target_id_is_one_root(spark, k):
+    """A target id given twice is one root: its record, every member's
+    single node row and the Table-5 cost counts are those of the id
+    given once."""
+    ds = uug_lite(n=60, seed=3)
+    nodes_df, edges_df = ds.to_spark(spark)
+    got, cost = [], []
+    for ids in ([5, 5, 7], [5, 7]):
+        targets = spark.createDataFrame(pd.DataFrame({"id": ids}))
+        gf = build_graph_features(nodes_df, edges_df, targets, k)
+        got.append({r["root"]: bytes(r["gf"]) for r in gf.collect()})
+        for r in collect_records(gf):
+            assert np.unique(r.node_ids).size == r.node_ids.size, r.root
+        cost.append(inference_cost_report(edges_df, targets, k, len(ds.nodes), len(ds.edges)))
+    assert sorted(got[0]) == [5, 7]
+    assert got[0] == got[1]
+    assert cost[0] == cost[1]
 
 
 def test_graph_features_independent_of_partitioning(spark):

@@ -361,13 +361,14 @@ _MAX_DEGREE = 2
 
 @st.composite
 def _multigraphs(draw) -> GraphDataset:
-    """A small directed multigraph over nodes ``0..n-1``: duplicate edges
-    with different weights, edges from or to ids with no node row,
-    isolated nodes (``n-1`` has no edge between real nodes) and one hub
-    with more in-edges than ``_MAX_DEGREE``."""
+    """A small directed multigraph over nodes ``0..n-1``: positive, zero
+    and negative weights, duplicate edges with different weights, edges
+    from or to ids with no node row, isolated nodes (``n-1`` has no edge
+    between real nodes) and one hub with more in-edges than
+    ``_MAX_DEGREE``."""
     n = draw(st.integers(6, 9))
     real = st.integers(0, n - 2)
-    weight = st.floats(0.25, 4.0)
+    weight = st.one_of(st.floats(0.25, 4.0), st.just(0.0), st.floats(-4.0, -0.25))
     pairs = draw(st.lists(st.tuples(real, real).filter(lambda p: p[0] != p[1]), max_size=12))
     hub = draw(real)
     feeders = [u for u in range(n - 1) if u != hub][: _MAX_DEGREE + draw(st.integers(1, 3))]
@@ -394,8 +395,8 @@ def _multigraphs(draw) -> GraphDataset:
 @settings(max_examples=4, deadline=None)
 @given(_multigraphs())
 def test_property_multigraphs_infer_equals_original_and_local(spark, ds):
-    """On multigraphs with ghost endpoints, isolated nodes and a hub,
-    GraphInfer and Original read one legal edge table: without sampling
+    """On multigraphs with signed weights, ghost endpoints, isolated
+    nodes and a hub, GraphInfer and Original read one legal edge table: without sampling
     both equal the local forward over the graph with ghost edges dropped
     and each duplicate edge kept once with its largest weight; with
     sampling they still equal each other."""

@@ -126,9 +126,22 @@ def test_isolated_nodes_no_nan():
         assert np.isfinite(H).all()
 
 
+def test_gcn_output_bounded_when_in_weights_cancel_the_self_loop():
+    """GCN divides by the sum of |w| into each destination: node 1's
+    in-edge of weight −1 cancels its self-loop's 1, and its output stays
+    within max|XW| + |b| instead of being scaled by the zero sum's floor."""
+    e = Edges.from_arrays([0], [1], [-1.0], 2).with_self_loops()
+    X = np.array([[1.0, -2.0], [3.0, 0.5]])
+    lyr = GCNLayer(2, 3, act="id", seed=0)
+    lyr.params["b"][:] = [0.5, -0.25, 1.0]
+    H = lyr.forward(X, e)
+    bound = np.abs(X @ lyr.params["W"]).max() + np.abs(lyr.params["b"])
+    assert (np.abs(H[1]) <= bound).all()
+    np.testing.assert_allclose(H[1], (X[1] - X[0]) @ lyr.params["W"] / 2 + lyr.params["b"])
+
+
 # ---------- gradient checks ----------
-@pytest.mark.parametrize("kind", ["add_at", "partitioned"])
-@pytest.mark.parametrize(
+GRADCHECK_LAYERS = pytest.mark.parametrize(
     "layer_fn",
     [
         lambda: GCNLayer(3, 2, act="relu", seed=7),
@@ -139,6 +152,10 @@ def test_isolated_nodes_no_nan():
     ],
     ids=["gcn-relu", "gcn-id", "sage", "gat-1h", "gat-2h"],
 )
+
+
+@pytest.mark.parametrize("kind", ["add_at", "partitioned"])
+@GRADCHECK_LAYERS
 def test_layer_gradcheck(layer_fn, kind):
     lyr = layer_fn()
     lyr.agg = Aggregator(kind=kind)
@@ -146,6 +163,22 @@ def test_layer_gradcheck(layer_fn, kind):
     X = _X(6, 3, seed=13)
     with partitions(3):
         layer_gradcheck(lyr, X, e, tol=2e-4)
+
+
+@pytest.mark.parametrize("kind", ["add_at", "partitioned"])
+@GRADCHECK_LAYERS
+def test_layer_gradcheck_signed_weights(layer_fn, kind):
+    """The gradcheck on edge weights drawn from {−w, 0, w}, which the
+    ingest contract keeps for uniform sampling."""
+    lyr = layer_fn()
+    lyr.agg = Aggregator(kind=kind)
+    e = random_edges(6, 18, seed=12)
+    sign = np.random.default_rng(22).choice([-1.0, 0.0, 1.0], e.m)
+    e = Edges.from_arrays(e.src, e.dst, sign * e.w, 6)
+    if lyr.self_loops:
+        e = e.with_self_loops()
+    with partitions(3):
+        layer_gradcheck(lyr, _X(6, 3, seed=13), e, tol=2e-4)
 
 
 def _oracle_adjacency(which: str) -> Edges:
