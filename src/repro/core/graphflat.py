@@ -15,10 +15,10 @@ Spark workers — the reducer :func:`reduce_by_key` runs, and the map-side
 functions of ``infer.py`` and ``ps.py`` — so a reused worker does not
 re-read Spark's own zip archives before each task. :func:`cached_on`
 is the one memo of what the pipelines derive from their input frames:
-the tables they cache, each freed when the last frame holding it is
-collected, and the model-independent plans of GraphFlat and
+the tables they cache and the model-independent plans of GraphFlat and
 GraphInfer, built once per frames and options. Each call adds its own
-reducer on top, so Spark plans it under the current conf.
+reducer on top, so Spark plans it under the current conf. A table
+stays cached by :func:`cached` while the memo or a caller holds it.
 
 Direction convention (§2.1): an edge row (src, dst, w) is src → dst,
 so ``dst``'s in-edge neighbors include ``src``; d(v, u) is the length
@@ -29,7 +29,6 @@ v. The edge set kept for v is every in-edge of a member at distance
 """
 from __future__ import annotations
 
-import collections
 import functools
 import os
 import sys
@@ -40,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 import pyarrow as pa
-from pyspark import SparkFiles, TaskContext
+from pyspark import SparkContext, SparkFiles, TaskContext
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -136,60 +135,56 @@ def reduce_by_key(rows: DataFrame, fn, schema: str) -> DataFrame:
     return rows.mapInArrow(worker_entry(lambda batches: fn(_key_groups(batches))), schema)
 
 
-_MEMO = weakref.WeakKeyDictionary()  # frame → {key: a frame or cached table derived from it}
+_MEMO = weakref.WeakKeyDictionary()  # frame → {key: a value derived from it}
+_TABLES = weakref.WeakValueDictionary()  # semanticHash → a live cached DataFrame
 _LOCK = threading.Lock()
-_HOLDERS = collections.Counter()  # Spark cache entry → live memo entries that cached it
-_RELEASED = collections.deque()  # (cache entry, table, session) of collected frames
 
 
-def _release(*collected) -> None:
-    """Queue the holds of ``collected`` frames, then drop every queued
-    hold and unpersist a cache entry when its last holder goes. Frames'
-    finalizers call this, also from a GC inside :func:`cached_on`, so it
-    never waits for the lock: the lock's holder releases the queue after."""
-    _RELEASED.extend(collected)
-    while _RELEASED and _LOCK.acquire(blocking=False):
-        try:
-            while _RELEASED:
-                entry, table, session = _RELEASED.popleft()
-                _HOLDERS[entry] -= 1
-                if not _HOLDERS[entry]:
-                    del _HOLDERS[entry]
-                    if session.sparkContext._jsc is not None:  # the context is not stopped
-                        table.unpersist()
-        finally:
-            _LOCK.release()
-
-
-def cached_on(frame: DataFrame, key: tuple, build, *, cache: bool = True):
+def cached_on(frame: DataFrame, key: tuple, build):
     """``build()`` memoized on the ``frame`` object and ``key`` (a frame in
     ``key`` compares by identity): a repeated call returns it without
     calling ``build``. The memo entry lives as long as ``frame``.
 
     ``build`` runs outside the memo's lock, so callers on other frames
     never wait for it; of two racing builds of one entry the first to
-    finish is kept. Without ``cache`` the value is held as built: plain
-    frames, whose plans are then built once. With ``cache`` it is a
-    DataFrame or an RDD, cached. Memo entries over frames with equal
-    data build equal DataFrame plans, which Spark caches as one entry;
-    that entry is unpersisted when the last frame holding it is
-    collected. The application's end frees the rest."""
-    try:
+    finish is kept."""
+    with _LOCK:
+        value = _MEMO.setdefault(frame, {}).get(key)
+    if value is None:
+        built = build()
         with _LOCK:
-            value = _MEMO.setdefault(frame, {}).get(key)
-        if value is None:
-            built = build()
-            with _LOCK:
-                value = _MEMO[frame].setdefault(key, built)
-                if cache and value is built:
-                    value.cache()
-                    entry = value.semanticHash() if isinstance(value, DataFrame) else value
-                    _HOLDERS[entry] += 1
-                    hold = (entry, value, frame.sparkSession)
-                    weakref.finalize(frame, _release, hold).atexit = False
-        return value
-    finally:
-        _release()
+            value = _MEMO[frame].setdefault(key, built)
+    return value
+
+
+def _unpersist(sc: SparkContext, jtable) -> None:
+    if sc._jsc is not None:  # the context is not stopped
+        jtable.unpersist()
+
+
+def cached(table):
+    """``table``, a DataFrame or an RDD, cached as long as something
+    holds it: a finalizer on the table unpersists it when the table is
+    collected, and never takes the memo's lock. Spark caches equal
+    DataFrame plans as one entry, so a DataFrame whose plan equals a
+    live table's (``sameSemantics``; the ``semanticHash`` only finds
+    it) returns that table, cached again if a caller unpersisted it.
+    The application's end frees the rest."""
+    with _LOCK:
+        if isinstance(table, DataFrame):
+            h = table.semanticHash()
+            live = _TABLES.get(h)
+            if live is not None and live.sameSemantics(table):
+                if not live.is_cached:
+                    live.cache()
+                return live
+            _TABLES[h] = table
+            sc, jtable = table.sparkSession.sparkContext, table._jdf
+        else:
+            sc, jtable = table.context, table._jrdd
+        table.cache()
+        weakref.finalize(table, _unpersist, sc, jtable).atexit = False
+    return table
 
 
 def sampled_edges(
@@ -198,13 +193,18 @@ def sampled_edges(
 ) -> DataFrame:
     """The cached ``(src, dst, w)`` table both pipelines run on, made
     legal, then sampled if ``max_degree`` is set. The ingest contract:
-    a null, NaN or infinite ``w`` raises ``ValueError``; edges with an
-    endpoint missing from ``nodes`` are dropped; of duplicate ``(dst,
-    src)`` edges the one with the largest ``w`` is kept, by a Window that
-    reuses the ``dst`` partitioning of the last join, so the table stays
-    hash-partitioned by ``dst``. Memoized by :func:`cached_on` on both
-    frames and the options: GraphFlat and GraphInfer share it (§3.4)."""
+    a node id held by more than one row of ``nodes`` and a null, NaN or
+    infinite ``w`` raise ``ValueError``; edges with an endpoint missing
+    from ``nodes`` are dropped; of duplicate ``(dst, src)`` edges the one
+    with the largest ``w`` is kept, by a Window that reuses the ``dst``
+    partitioning of the last join, so the table stays hash-partitioned
+    by ``dst``. Memoized by :func:`cached_on` on both frames and the
+    options and cached by :func:`cached`: GraphFlat and GraphInfer share
+    it (§3.4)."""
     def build() -> DataFrame:
+        repeated = nodes.select(F.count("id") - F.count_distinct("id")).first()[0]
+        if repeated:
+            raise ValueError(f"sampled_edges: {repeated} node rows repeat an id")
         bad = edges.filter("w IS NULL OR isnan(w) OR abs(w) = double('inf')").count()
         if bad:
             raise ValueError(f"sampled_edges: {bad} edges have a null, NaN or infinite w")
@@ -217,7 +217,7 @@ def sampled_edges(
         )
         if max_degree is not None:
             legal = sample_in_edges(legal, max_degree, strategy=strategy, seed=seed)
-        return legal.select("src", "dst", "w")
+        return cached(legal.select("src", "dst", "w"))
 
     return cached_on(edges, ("sampled_edges", nodes, max_degree, strategy, seed), build)
 
@@ -348,5 +348,5 @@ def build_graph_features(
         return sort_by_key(rows, ["kind", "u", "v", "w"])
 
     key = ("graphflat", nodes, edges, k, max_degree, strategy, seed)
-    rows = cached_on(targets, key, build, cache=False)
+    rows = cached_on(targets, key, build)
     return reduce_by_key(rows, _assemble, "root long, gf binary")

@@ -207,9 +207,7 @@ def run_graph_infer(
         return nodes.select("id", "feat").mapInArrow(_head_fn(pred_slice), _SCORE_SCHEMA)
     more_rounds = len(gnn_slices) > 1
     key = ("graphinfer", nodes, max_degree, strategy, seed, more_rounds)
-    rows, out_edges = cached_on(
-        edges, key, lambda: _round_tables(nodes, sampled, more_rounds), cache=False
-    )
+    rows, out_edges = cached_on(edges, key, lambda: _round_tables(nodes, sampled, more_rounds))
     for k, spec in enumerate(gnn_slices):
         last = k == len(gnn_slices) - 1
         if k:

@@ -37,7 +37,7 @@ from pyspark import RDD
 from pyspark.sql import DataFrame
 
 from ..nn.optim import Adam
-from .graphflat import cached_on, worker_entry
+from .graphflat import cached, cached_on, worker_entry
 from .trainer import GraphTrainer, TrainConfig, batch_step
 
 
@@ -87,11 +87,12 @@ def _partition_gradients(batches, cfg: TrainConfig, d_in: int, params):
 def _prepared(gf: DataFrame, cfg: TrainConfig, d_in: int, n_workers: int) -> RDD:
     """The workers' data shards: ``gf``'s records split across
     ``n_workers`` partitions once, vectorized once and cached by
+    :func:`~repro.core.graphflat.cached`, memoized by
     :func:`~repro.core.graphflat.cached_on` on the frame, ``n_workers``
     and the batch-shaping config values (``d_in`` shapes no batch)."""
     key = ("ps", n_workers, cfg.batch_size, cfg.n_layers, cfg.kind, cfg.pruning)
     snap = replace(cfg)  # TrainConfig is mutable
-    return cached_on(gf, key, lambda: (
+    return cached_on(gf, key, lambda: cached(
         gf.select("gf").rdd.map(lambda r: r["gf"]).repartition(n_workers)
         .mapPartitions(lambda it: _vectorize_partition(it, snap, d_in))
     ))
@@ -142,7 +143,7 @@ def train_parameter_server(
     """Synchronous PS training: one global Adam step per epoch, computed
     from the reduced full-batch gradient. ``gf`` is the (root, gf-string)
     frame the Storing phase produced; the workers' vectorized shards of
-    it stay cached until the frame is garbage-collected."""
+    it stay cached as long as the frame, whose memo entry holds them."""
     model = cfg.build_model(d_in)  # driver-side canonical params
     opt = Adam(lr=cfg.lr)
     params = model.get_params()

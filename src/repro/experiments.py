@@ -239,7 +239,7 @@ def table4_run(spark: SparkSession, workdir: str, *, scale: str = "bench") -> li
             )
             for system in ["pyg_sim", "dgl_sim", *AGL_VARIANTS]:
                 if system in AGL_VARIANTS:
-                    t = GraphTrainer(replace(cfg, pipeline=True, **AGL_VARIANTS[system]), ds.feat_dim)
+                    t = GraphTrainer(replace(cfg, **AGL_VARIANTS[system]), ds.feat_dim)
                     src = ParquetSource(f"{workdir}/gf_k{k}", batch_size=cfg.batch_size)
                     epoch_fn = lambda epoch: t.train_epoch(src, epoch)
                 else:

@@ -137,7 +137,7 @@ def cora_lite(
     nodes = pd.DataFrame(
         {
             "id": np.arange(n, dtype=np.int64),
-            "feat": list(X),
+            "feat": X.tolist(),
             "label": [[float(c)] for c in labels],
             "split": _assign_splits(n, n_train, n_val, n_test, rng),
         }
@@ -195,8 +195,8 @@ def ppi_lite(
             pd.DataFrame(
                 {
                     "id": np.arange(offset, offset + n, dtype=np.int64),
-                    "feat": list(X),
-                    "label": list(Y),
+                    "feat": X.tolist(),
+                    "label": Y.tolist(),
                     "split": split,
                 }
             )
@@ -282,7 +282,7 @@ def uug_lite(
     nodes = pd.DataFrame(
         {
             "id": np.arange(n, dtype=np.int64),
-            "feat": list(X),
+            "feat": X.tolist(),
             "label": [[float(v)] for v in y],
             "split": _assign_splits(
                 n, int(n_lab * 0.7), int(n_lab * 0.1), int(n_lab * 0.2), rng

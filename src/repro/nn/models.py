@@ -17,11 +17,11 @@ from .aggregators import Aggregator
 from .edges import Edges
 from .layers import DenseLayer, GATLayer, GCNLayer, Layer, SAGELayer
 
-#: task name -> (loss fn, metric fn, metric name)
+#: task name -> (loss fn, metric fn)
 TASKS = {
-    "multiclass": (losses.softmax_xent, losses.accuracy, "accuracy"),
-    "multilabel": (losses.bce_with_logits, losses.micro_f1, "micro_f1"),
-    "binary": (losses.bce_with_logits, losses.auc, "auc"),
+    "multiclass": (losses.softmax_xent, losses.accuracy),
+    "multilabel": (losses.bce_with_logits, losses.micro_f1),
+    "binary": (losses.bce_with_logits, losses.auc),
 }
 
 def task_labels(task: str, Y: np.ndarray) -> np.ndarray:
@@ -67,7 +67,7 @@ class GNNModel:
             self.layers.append(cls(d, hidden, seed=seed + i, **heads))
             d = self.layers[-1].params["b"].size
         self.head = DenseLayer(d, n_out, seed=seed + 100)
-        self.loss_fn, self.metric_fn, self.metric_name = TASKS[task]
+        self.loss_fn, self.metric_fn = TASKS[task]
 
     # ---- parameter plumbing (flat namespaced dicts for the PS) ----
     def _named(self) -> list[tuple[str, Layer]]:

@@ -165,6 +165,23 @@ def test_to_spark_roundtrip_counts(spark, small):
     np.testing.assert_allclose(np.array(row["feat"]), ds.feat_matrix()[0])
 
 
+@pytest.mark.parametrize("name", list(DATASETS))
+def test_to_spark_without_arrow(spark, small, name):
+    """The frames lift with Arrow off too: list columns hold Python floats."""
+    ds = small[name]
+    arrow = "spark.sql.execution.arrow.pyspark.enabled"
+    saved = spark.conf.get(arrow)
+    try:
+        spark.conf.set(arrow, "false")
+        nodes_df, edges_df = ds.to_spark(spark)
+    finally:
+        spark.conf.set(arrow, saved)
+    assert edges_df.count() == len(ds.edges)
+    row = nodes_df.filter(F.col("id") == 0).first()
+    np.testing.assert_allclose(np.array(row["feat"]), ds.feat_matrix()[0])
+    np.testing.assert_allclose(np.array(row["label"]), ds.label_matrix()[0])
+
+
 def test_degree_table_matches_duckdb(spark, small):
     ds = small["uug_lite"]
     _, edges_df = ds.to_spark(spark)

@@ -19,8 +19,9 @@ from pyspark.sql import functions as F
 from repro.core.graphfeature import collect_records
 from repro.core import graphflat
 from repro.core.graphflat import build_graph_features, khop_members, subgraph_edges
-from repro.core.infer import inference_cost_report
-from repro.graphs.generators import ppi_lite, uug_lite
+from repro.core.infer import inference_cost_report, run_graph_infer
+from repro.graphs.generators import EDGE_SCHEMA, NODE_SCHEMA, ppi_lite, uug_lite
+from repro.nn.models import GNNModel
 from tests.graphflat_reference import graphflat_message_passing
 from tests.oracle import assert_equivalent
 
@@ -193,8 +194,6 @@ def test_targets_without_inedges_still_emitted(spark):
         {"id": [0, 1], "feat": [[1.0], [2.0]], "label": [[0.0], [1.0]], "split": ["train"] * 2}
     )
     edges = pd.DataFrame({"src": [0], "dst": [1], "w": [1.0]})
-    from repro.graphs.generators import EDGE_SCHEMA, NODE_SCHEMA
-
     nd = spark.createDataFrame(nodes, schema=NODE_SCHEMA)
     ed = spark.createDataFrame(edges, schema=EDGE_SCHEMA)
     t = spark.createDataFrame(pd.DataFrame({"id": [0]}))
@@ -220,6 +219,25 @@ def test_repeated_target_id_is_one_root(spark, k):
     assert sorted(got[0]) == [5, 7]
     assert got[0] == got[1]
     assert cost[0] == cost[1]
+
+
+def test_repeated_node_id_is_rejected_by_both_pipelines(spark):
+    """A node id held by two node rows raises before either pipeline
+    runs: GraphFlat would write both rows as members of one record, and
+    GraphInfer would score the id twice."""
+    nodes = pd.DataFrame({
+        "id": [0, 1, 1, 2], "feat": [[1.0], [2.0], [3.0], [4.0]],
+        "label": [[0.0]] * 4, "split": ["train"] * 4,
+    })
+    edges = pd.DataFrame({"src": [1, 2], "dst": [0, 1], "w": [1.0, 1.0]})
+    nd = spark.createDataFrame(nodes, schema=NODE_SCHEMA)
+    ed = spark.createDataFrame(edges, schema=EDGE_SCHEMA)
+    t = spark.createDataFrame(pd.DataFrame({"id": [0]}))
+    with pytest.raises(ValueError, match="1 node rows repeat an id"):
+        build_graph_features(nd, ed, t, 1)
+    slices = GNNModel("gcn", 1, 2, 1, 1, "binary").to_slices()
+    with pytest.raises(ValueError, match="1 node rows repeat an id"):
+        run_graph_infer(nd, ed, slices)
 
 
 def test_graph_features_independent_of_partitioning(spark):
@@ -425,40 +443,49 @@ def _persistent_rdds(sc) -> int:
     return sc._jsc.getPersistentRDDs().size()
 
 
-def test_sampled_edges_memo_key_and_lifetime(spark):
+def test_sampled_edges_memo_key_and_lifetime(spark, monkeypatch):
     """Equal (edges frame, nodes frame, max_degree, strategy, seed) →
-    one cached table; any of them changed → another. Dropping the
-    frames unpersists them."""
+    one memo entry; any of them changed → another, and a frame with
+    equal data builds the same table. Dropping the frames and the tables
+    unpersists them."""
     ds = uug_lite(n=60, seed=17)
     sc = spark.sparkContext
     gc.collect()
     before = _persistent_rdds(sc)
+    builds, cached = [], graphflat.cached
+
+    def counting(table):
+        builds.append(1)
+        return cached(table)
+
+    monkeypatch.setattr(graphflat, "cached", counting)
     nodes_df, edges_df = ds.to_spark(spark)
     nodes2, edges2 = ds.to_spark(spark)  # equal data, other frames
     a = graphflat.sampled_edges(nodes_df, edges_df, 4, seed=3)
     assert a.is_cached
     assert graphflat.sampled_edges(nodes_df, edges_df, 4, strategy="uniform", seed=3) is a
+    assert graphflat.sampled_edges(nodes2, edges_df, 4, seed=3) is a
+    assert graphflat.sampled_edges(nodes_df, edges2, 4, seed=3) is a
     others = [
-        graphflat.sampled_edges(nodes2, edges_df, 4, seed=3),
-        graphflat.sampled_edges(nodes_df, edges2, 4, seed=3),
         graphflat.sampled_edges(nodes_df, edges_df, 5, seed=3),
         graphflat.sampled_edges(nodes_df, edges_df, None, seed=3),
         graphflat.sampled_edges(nodes_df, edges_df, 4, strategy="weighted", seed=3),
         graphflat.sampled_edges(nodes_df, edges_df, 4, seed=4),
     ]
-    assert len({id(t) for t in [a, *others]}) == 7
+    assert len(builds) == 7
+    assert len({id(t) for t in [a, *others]}) == 5
     for t in [a, *others]:
         t.count()
     assert _persistent_rdds(sc) > before
-    del nodes_df, edges_df, nodes2, edges2, a, others
+    del nodes_df, edges_df, nodes2, edges2, a, others, t
     gc.collect()
     assert _persistent_rdds(sc) == before
 
 
 def test_equal_frames_share_one_cache_entry_until_the_last_is_dropped(spark):
     """Two frame pairs with equal data build tables with equal plans,
-    which Spark caches as one entry: dropping one pair keeps that entry
-    cached for the other, and dropping both frees it."""
+    which Spark caches as one entry: they get one table, so dropping one
+    pair keeps it cached for the other, and dropping both frees it."""
     ds = uug_lite(n=60, seed=16)
     sc = spark.sparkContext
     gc.collect()
@@ -466,7 +493,7 @@ def test_equal_frames_share_one_cache_entry_until_the_last_is_dropped(spark):
     first, second = ds.to_spark(spark), ds.to_spark(spark)
     a = graphflat.sampled_edges(*first, 4)
     b = graphflat.sampled_edges(*second, 4)
-    assert a is not b
+    assert a is b
     assert a.count() == b.count()
     assert _persistent_rdds(sc) == before + 1
     del second, b
@@ -480,10 +507,42 @@ def test_equal_frames_share_one_cache_entry_until_the_last_is_dropped(spark):
     assert _persistent_rdds(sc) == before
 
 
+def test_held_table_stays_cached_after_its_frames_are_dropped(spark):
+    """A caller that keeps the sampled table but drops the frames it was
+    built from still reads it from the cache; dropping the table frees it."""
+    ds = uug_lite(n=60, seed=16)
+    sc = spark.sparkContext
+    gc.collect()
+    before = _persistent_rdds(sc)
+    frames = ds.to_spark(spark)
+    table = graphflat.sampled_edges(*frames, 4)
+    n = table.count()
+    del frames
+    gc.collect()
+    assert table.is_cached and table.storageLevel != StorageLevel.NONE
+    assert _persistent_rdds(sc) == before + 1
+    assert table.count() == n
+    del table
+    gc.collect()
+    assert _persistent_rdds(sc) == before
+
+
+def test_equal_hashes_share_no_table_without_equal_plans(spark, monkeypatch):
+    """Tables are shared by plan equality, not by ``semanticHash``: two
+    different plans whose hashes collide get two cached tables."""
+    frame = spark.range(10)
+    monkeypatch.setattr(type(frame), "semanticHash", lambda self: 0)
+    a = graphflat.cached(frame.filter("id < 3"))
+    b = graphflat.cached(frame.filter("id < 5"))
+    assert a is not b and a.is_cached and b.is_cached
+    assert (a.count(), b.count()) == (3, 5)
+    assert graphflat.cached(frame.filter("id < 5")) is b
+
+
 def test_collected_frame_never_waits_for_the_memo_lock(spark):
-    """A frame collected while another caller holds the memo's lock (a
-    GC inside ``cached_on`` runs finalizers there) queues its release
-    instead of waiting; the lock's holder releases the queue after it."""
+    """A table collected while another caller holds the memo's lock (a
+    GC inside ``cached_on`` runs finalizers there) is unpersisted at
+    once: its finalizer never takes the lock."""
     ds = uug_lite(n=60, seed=16)
     sc = spark.sparkContext
     gc.collect()
@@ -491,24 +550,22 @@ def test_collected_frame_never_waits_for_the_memo_lock(spark):
     frames = ds.to_spark(spark)
     graphflat.sampled_edges(*frames, 4).count()
     assert _persistent_rdds(sc) == before + 1
-    held, collected, waited = threading.Event(), threading.Event(), []
+    held, collected, freed = threading.Event(), threading.Event(), []
 
     def hold() -> None:
         with graphflat._LOCK:
             held.set()
-            waited.append(not collected.wait(10))
+            collected.wait(10)
 
     holder = threading.Thread(target=hold)
     holder.start()
     held.wait()
     del frames
     gc.collect()
+    freed.append(_persistent_rdds(sc))
     collected.set()
     holder.join()
-    assert waited == [False]
-    assert _persistent_rdds(sc) == before + 1
-    graphflat._release()
-    assert _persistent_rdds(sc) == before
+    assert freed == [before]
 
 
 def test_memo_builds_outside_its_lock(spark):
@@ -522,9 +579,9 @@ def test_memo_builds_outside_its_lock(spark):
         locked.append(graphflat._LOCK.locked())
         return frame.limit(2)
 
-    got = graphflat.cached_on(frame, ("plan",), build, cache=False)
+    got = graphflat.cached_on(frame, ("plan",), build)
     assert locked == [False] and got.count() == 2
-    assert graphflat.cached_on(frame, ("plan",), build, cache=False) is got
+    assert graphflat.cached_on(frame, ("plan",), build) is got
     assert len(locked) == 1
     first, second = frame.limit(1), frame.limit(2)
 

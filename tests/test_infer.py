@@ -295,7 +295,7 @@ def test_pipeline_plans_memo_key_and_lifetime(spark, monkeypatch):
         return khop(*args)
 
     def counting_tables(*args):
-        tables.append(args)
+        tables.append(args[-1])  # more_rounds: holding the frames would keep them alive
         return round_tables(*args)
 
     monkeypatch.setattr(graphflat, "khop_members", counting_khop)

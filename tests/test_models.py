@@ -113,5 +113,5 @@ def test_set_aggregator_propagates():
 
 
 def test_tasks_registry_complete():
-    for task, (loss_fn, metric_fn, name) in TASKS.items():
-        assert callable(loss_fn) and callable(metric_fn) and isinstance(name, str)
+    for task, (loss_fn, metric_fn) in TASKS.items():
+        assert callable(loss_fn) and callable(metric_fn)

@@ -30,7 +30,9 @@ def gf_strings(spark, tmp_path_factory):
     gf = build_graph_features(nodes_df, edges_df, targets, 2)
     path = str(tmp_path_factory.mktemp("ps") / "gf")
     store_graph_features(gf, path)
-    return ds, load_graph_features(spark, path).cache()
+    gf = load_graph_features(spark, path).cache()
+    gf.count()  # cache it now, not inside the first test's actions
+    return ds, gf
 
 
 def _cfg():
