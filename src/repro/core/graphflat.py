@@ -136,7 +136,7 @@ def reduce_by_key(rows: DataFrame, fn, schema: str) -> DataFrame:
 
 
 _MEMO = weakref.WeakKeyDictionary()  # frame → {key: a value derived from it}
-_TABLES = weakref.WeakValueDictionary()  # semanticHash → a live cached DataFrame
+_TABLES = weakref.WeakSet()  # the live cached DataFrames
 _LOCK = threading.Lock()
 
 
@@ -167,18 +167,16 @@ def cached(table):
     holds it: a finalizer on the table unpersists it when the table is
     collected, and never takes the memo's lock. Spark caches equal
     DataFrame plans as one entry, so a DataFrame whose plan equals a
-    live table's (``sameSemantics``; the ``semanticHash`` only finds
-    it) returns that table, cached again if a caller unpersisted it.
-    The application's end frees the rest."""
+    live table's (``sameSemantics``) returns that table, cached again if
+    a caller unpersisted it. The application's end frees the rest."""
     with _LOCK:
         if isinstance(table, DataFrame):
-            h = table.semanticHash()
-            live = _TABLES.get(h)
-            if live is not None and live.sameSemantics(table):
+            live = next((t for t in _TABLES if t.sameSemantics(table)), None)
+            if live is not None:
                 if not live.is_cached:
                     live.cache()
                 return live
-            _TABLES[h] = table
+            _TABLES.add(table)
             sc, jtable = table.sparkSession.sparkContext, table._jdf
         else:
             sc, jtable = table.context, table._jrdd

@@ -529,7 +529,9 @@ def test_held_table_stays_cached_after_its_frames_are_dropped(spark):
 
 def test_equal_hashes_share_no_table_without_equal_plans(spark, monkeypatch):
     """Tables are shared by plan equality, not by ``semanticHash``: two
-    different plans whose hashes collide get two cached tables."""
+    different plans whose hashes collide get two cached tables, and a
+    third frame equal to the first gets the first table back, so no
+    second finalizer can unpersist the entry the first one reads."""
     frame = spark.range(10)
     monkeypatch.setattr(type(frame), "semanticHash", lambda self: 0)
     a = graphflat.cached(frame.filter("id < 3"))
@@ -537,6 +539,7 @@ def test_equal_hashes_share_no_table_without_equal_plans(spark, monkeypatch):
     assert a is not b and a.is_cached and b.is_cached
     assert (a.count(), b.count()) == (3, 5)
     assert graphflat.cached(frame.filter("id < 5")) is b
+    assert graphflat.cached(frame.filter("id < 3")) is a
 
 
 def test_collected_frame_never_waits_for_the_memo_lock(spark):
@@ -550,12 +553,12 @@ def test_collected_frame_never_waits_for_the_memo_lock(spark):
     frames = ds.to_spark(spark)
     graphflat.sampled_edges(*frames, 4).count()
     assert _persistent_rdds(sc) == before + 1
-    held, collected, freed = threading.Event(), threading.Event(), []
+    held, collected, waited, freed = threading.Event(), threading.Event(), [], []
 
     def hold() -> None:
         with graphflat._LOCK:
             held.set()
-            collected.wait(10)
+            waited.append(not collected.wait(10))
 
     holder = threading.Thread(target=hold)
     holder.start()
@@ -565,6 +568,7 @@ def test_collected_frame_never_waits_for_the_memo_lock(spark):
     freed.append(_persistent_rdds(sc))
     collected.set()
     holder.join()
+    assert waited == [False]
     assert freed == [before]
 
 
