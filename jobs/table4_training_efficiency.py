@@ -29,7 +29,26 @@ def run(spark, scale: str = "bench", workdir: str = "/tmp/agl_table4") -> list[d
         for (m, k), v in TABLE4_PAPER.items()
     ]
     print_table(paper, "Table 4 (paper): s/epoch on PPI")
+    print_table(pruning_speedups(rows), "Table 4: pruning speedup, measured vs paper")
     return rows
+
+
+def pruning_speedups(rows: list[dict]) -> list[dict]:
+    """Per (model, layers): what pruning alone buys (``agl_base /
+    agl_pruning``) and on top of edge partitioning (``agl_partition /
+    agl_both``), measured next to the paper's."""
+    out = []
+    for r in rows:
+        p = TABLE4_PAPER[(r["model"], r["layers"])]
+        out.append({
+            "model": r["model"],
+            "layers": r["layers"],
+            "pruning_x": round(r["agl_base"] / r["agl_pruning"], 2),
+            "pruning_x_paper": round(p[2] / p[3], 2),
+            "pruning_on_partition_x": round(r["agl_partition"] / r["agl_both"], 2),
+            "pruning_on_partition_x_paper": round(p[4] / p[5], 2),
+        })
+    return out
 
 
 if __name__ == "__main__":

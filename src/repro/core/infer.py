@@ -100,10 +100,10 @@ def _round_fn(spec: dict, head_spec: dict | None):
     edge per message row, the self rows the targets; every key has a self
     row (:func:`~repro.core.graphflat.sampled_edges` keeps only edges
     between nodes, once each). The training layer's forward over the
-    edges into the self rows (``adj_list(1, pruning=True)``) computes the
-    new embeddings with the training math. With ``head_spec`` the
-    prediction slice is applied and ``(id, score)`` emitted; otherwise the
-    next round's self rows and one message per out-edge row.
+    edges into the self rows (``adj_list(1, pruning=True)``) computes
+    only their new embeddings, with the training math. With ``head_spec``
+    the prediction slice is applied and ``(id, score)`` emitted; otherwise
+    the next round's self rows and one message per out-edge row.
     """
 
     def fn(groups: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
@@ -123,7 +123,7 @@ def _round_fn(spec: dict, head_spec: dict | None):
                 ids, np.empty((b, 0)),
             )
             adj = bg.adj_list(1, self_loops=layer.self_loops, pruning=True)[0]
-            Hn = layer.forward(bg.X, adj)[bg.target_idx]
+            Hn = layer.forward(bg.X, adj)[np.searchsorted(adj.dst_rows, bg.target_idx)]
             if head is not None:
                 yield _score_batch(ids, head.forward(Hn))
                 continue

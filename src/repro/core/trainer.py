@@ -15,7 +15,8 @@ callers differ only in where batches come from and who applies Adam:
     while the model computes on batch i (§3.3.2 "training pipeline").
     The source itself reads each batch on the consumer thread, between
     model steps, before handing it to the prefetch thread.
-  * ``pruning``   — per-layer pruned adjacencies A_B^(k) (Eq. 3).
+  * ``pruning``   — per-layer pruned adjacencies A_B^(k) (Eq. 3), each a
+    block that computes only the rows the next layer reads.
   * ``partition`` — the fused destination-partitioned threaded
     aggregation kernel instead of buffered ``np.add.at``.
 

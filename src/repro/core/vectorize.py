@@ -10,10 +10,13 @@ nearest target, which drives pruning. :func:`merge_batch` and
 
 Pruning: for a K-layer model, layer k (0-indexed) only needs edges into
 nodes that are still ≤ K−1−k hops from some target (the receptive field
-shrinks by one hop per layer, Eq. 3). ``adj_list`` materialises the
-per-layer pruned adjacencies ``A_B^(k)``; a test asserts target
-embeddings are bit-identical with and without pruning (the paper's
-correctness argument for the strategy).
+shrinks by one hop per layer, Eq. 3), and only those nodes' outputs.
+``adj_list`` materialises the per-layer pruned adjacencies ``A_B^(k)``
+as bipartite blocks, so layer k computes only the rows layer k+1 reads
+and the last layer only the targets. A test asserts target logits agree
+with and without pruning to 1e-10: the same sums over the same edges,
+but BLAS over fewer rows may round the last bit differently (the
+paper's correctness argument for the strategy).
 """
 from __future__ import annotations
 
@@ -54,20 +57,26 @@ class BatchGraph:
 
         Self-loops (for GCN/GAT's {v} ∪ N_v^+ aggregation) are appended
         *before* pruning so a target's own loop always survives to the
-        last layer (a self-loop into v is an in-edge of v).
+        last layer (a self-loop into v is an in-edge of v). A pruned layer
+        k is a block from the rows layer k−1 returns (layer 0: all rows),
+        which hold every kept edge's source, into the rows with ``dists``
+        ≤ K−1−k, both in ascending local id.
         """
         base = self.edges_raw()
         if self_loops:
             base = base.with_self_loops()
         if not pruning:
             return [base] * n_layers
-        out = []
+        out, src_in = [], np.ones(self.n_nodes, dtype=bool)
         for k in range(n_layers):
-            budget = n_layers - 1 - k
-            keep = self.dists[base.dst] <= budget
-            out.append(
-                Edges(base.src[keep], base.dst[keep], base.w[keep], base.n_nodes)
-            )
+            dst_in = self.dists <= n_layers - 1 - k
+            keep = dst_in[base.dst]
+            src_at, dst_at = np.cumsum(src_in) - 1, np.cumsum(dst_in) - 1
+            out.append(Edges(
+                src_at[base.src[keep]], dst_at[base.dst[keep]], base.w[keep],
+                int(dst_in.sum()), src_at[dst_in], int(src_in.sum()),
+            ))
+            src_in = dst_in
         return out
 
 

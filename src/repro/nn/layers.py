@@ -7,9 +7,10 @@ and in-edge features/weights. All aggregation goes through a pluggable
 strategy (§3.3.2) applies uniformly to forward and backward scatters.
 
 API: ``forward(X, edges) -> H`` caches activations; ``backward(dH) ->
-dX`` accumulates parameter gradients in ``.grads``. Parameters and
-gradients are flat ``{name: ndarray}`` dicts so the parameter server
-can ship them as-is.
+dX`` accumulates parameter gradients in ``.grads``; ``X`` holds the
+``edges.n_src`` source rows, ``H`` the ``edges.n_nodes`` destination
+rows. Parameters and gradients are flat ``{name: ndarray}`` dicts so
+the parameter server can ship them as-is.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ def _act(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "elu":
-        return np.where(z > 0, z, np.expm1(z))
+        return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
     if kind == "id":
         return z
     raise ValueError(kind)
@@ -144,9 +145,10 @@ class SAGELayer(Layer):
     def forward(self, X: np.ndarray, edges: Edges) -> np.ndarray:
         deg = np.maximum(edges.in_degrees(), 1.0)
         mean_nbr = edges.aggregate(self.agg, X) / deg[:, None]
-        Z = X @ self.params["Wself"] + mean_nbr @ self.params["Wnbr"] + self.params["b"]
+        Xd = edges.at_dst(X)
+        Z = Xd @ self.params["Wself"] + mean_nbr @ self.params["Wnbr"] + self.params["b"]
         H = _act(self.act, Z)
-        self._cache = {"X": X, "edges": edges, "deg": deg, "mean": mean_nbr, "Z": Z, "H": H}
+        self._cache = {"Xd": Xd, "edges": edges, "deg": deg, "mean": mean_nbr, "Z": Z, "H": H}
         return H
 
     def backward(self, dH: np.ndarray) -> np.ndarray:
@@ -154,11 +156,11 @@ class SAGELayer(Layer):
         edges: Edges = c["edges"]
         dZ = dH * _dact(self.act, c["Z"], c["H"])
         self.grads["b"] += dZ.sum(axis=0)
-        self.grads["Wself"] += c["X"].T @ dZ
+        self.grads["Wself"] += c["Xd"].T @ dZ
         self.grads["Wnbr"] += c["mean"].T @ dZ
         dmean = dZ @ self.params["Wnbr"].T / c["deg"][:, None]
-        dX = dZ @ self.params["Wself"].T
-        dX += edges.aggregate_rev(self.agg, dmean)
+        dX = edges.aggregate_rev(self.agg, dmean)
+        dX += edges.from_dst(dZ @ self.params["Wself"].T)
         return dX
 
 
@@ -195,7 +197,7 @@ class GATLayer(Layer):
         for h in range(self.n_heads):
             z = X @ self.params[f"W{h}"]
             ss = z @ self.params[f"as{h}"]  # per-node source score
-            sd = z @ self.params[f"ad{h}"]  # per-node dest score
+            sd = edges.at_dst(z @ self.params[f"ad{h}"])  # per-node dest score
             pre = ss[edges.src] + sd[edges.dst]
             lre = np.where(pre > 0, pre, self.LEAK * pre)
             alpha = self.agg.segment_softmax(lre, edges.dst, edges.n_nodes)
@@ -213,7 +215,7 @@ class GATLayer(Layer):
         dZ = dH * _dact(self.act, c["Z"], c["H"])
         self.grads["b"] += dZ.sum(axis=0)
         dX = np.zeros_like(c["X"])
-        n = edges.n_nodes
+        n, n_src = edges.n_nodes, edges.n_src
         for h in range(self.n_heads):
             hc = c["heads"][h]
             dout = dZ[:, h * self.d_out : (h + 1) * self.d_out]
@@ -228,8 +230,8 @@ class GATLayer(Layer):
             dpre = dlre * np.where(pre > 0, 1.0, self.LEAK)
             # score backward: pre_e = z_s·a_s + z_t·a_d, so both terms
             # reduce per node first: Σ_e dpre_e z_s = (Σ_{e: src=s} dpre_e) z_s
-            ps = self.agg.segment_sum(dpre, edges.src, n)
-            pd = self.agg.segment_sum(dpre, edges.dst, n)
+            ps = self.agg.segment_sum(dpre, edges.src, n_src)
+            pd = edges.from_dst(self.agg.segment_sum(dpre, edges.dst, n))
             self.grads[f"as{h}"] += ps @ z
             self.grads[f"ad{h}"] += pd @ z
             dz += np.outer(ps, a_s) + np.outer(pd, a_d)

@@ -95,7 +95,8 @@ class GNNModel:
     # ---- forward / backward ----
     def forward_embeddings(self, X: np.ndarray, adj_list: list[Edges]) -> np.ndarray:
         """Run the K GNN layers; ``adj_list[k]`` is the (possibly pruned)
-        adjacency for layer k (Eq. 3)."""
+        adjacency for layer k (Eq. 3). Returns the rows of the last
+        layer's destinations: every row of ``X``, or the pruned targets."""
         assert len(adj_list) == self.n_layers
         H = X
         for lyr, edges in zip(self.layers, adj_list):
@@ -106,13 +107,16 @@ class GNNModel:
         self, X: np.ndarray, adj_list: list[Edges], target_idx: np.ndarray
     ) -> np.ndarray:
         H = self.forward_embeddings(X, adj_list)
-        self._target_idx, self._n_nodes = target_idx, X.shape[0]
-        return self.head.forward(H[target_idx])
+        rows = np.arange(X.shape[0])  # the rows of X that H holds, ascending
+        for e in adj_list:
+            rows = e.at_dst(rows)
+        self._at, self._n_rows = np.searchsorted(rows, target_idx), H.shape[0]
+        return self.head.forward(H[self._at])
 
     def backward(self, dlogits: np.ndarray) -> None:
         dtarget = self.head.backward(dlogits)
-        dH = np.zeros((self._n_nodes, dtarget.shape[1]))
-        dH[self._target_idx] = dtarget
+        dH = np.zeros((self._n_rows, dtarget.shape[1]))
+        np.add.at(dH, self._at, dtarget)  # a target twice in the batch: both terms
         for lyr in reversed(self.layers):
             dH = lyr.backward(dH)
 

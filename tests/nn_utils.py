@@ -90,13 +90,15 @@ def layer_gradcheck(layer, X: np.ndarray, edges: Edges, seed: int = 0, tol: floa
 
 def gat_backward_edgewise(layer, dH: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Reference GAT backward that forms every term per edge: gathers
-    ``z[src]``, ``z[dst]`` and ``dout[dst]``, and scatters each score
-    gradient with ``np.add.at``. Reads the activations ``layer``'s last
-    forward cached; returns ``(param grads, dX)``."""
+    ``z[src]``, ``z`` at each destination's own source row and
+    ``dout[dst]``, and scatters each score gradient with ``np.add.at``.
+    Reads the activations ``layer``'s last forward cached; returns
+    ``(param grads, dX)``."""
     from repro.nn.layers import _dact
 
     c = layer._cache
     e = c["edges"]
+    t = e.at_dst(np.arange(e.n_src))[e.dst]  # each edge's destination, as a source row
     dZ = dH * _dact(layer.act, c["Z"], c["H"])
     grads = {k: np.zeros_like(v) for k, v in layer.params.items()}
     grads["b"] += dZ.sum(axis=0)
@@ -106,7 +108,7 @@ def gat_backward_edgewise(layer, dH: np.ndarray) -> tuple[dict[str, np.ndarray],
         dout = dZ[:, h * layer.d_out : (h + 1) * layer.d_out]
         z, alpha, pre = hc["z"], hc["alpha"], hc["pre"]
         a_s, a_d = layer.params[f"as{h}"], layer.params[f"ad{h}"]
-        z_s, z_t, dout_t = z[e.src], z[e.dst], dout[e.dst]
+        z_s, z_t, dout_t = z[e.src], z[t], dout[e.dst]
         g = np.einsum("ed,ed->e", dout_t, z_s)
         dz = np.zeros_like(z)
         np.add.at(dz, e.src, alpha[:, None] * dout_t)
@@ -116,7 +118,7 @@ def gat_backward_edgewise(layer, dH: np.ndarray) -> tuple[dict[str, np.ndarray],
         grads[f"as{h}"] += dpre @ z_s
         grads[f"ad{h}"] += dpre @ z_t
         np.add.at(dz, e.src, dpre[:, None] * a_s[None, :])
-        np.add.at(dz, e.dst, dpre[:, None] * a_d[None, :])
+        np.add.at(dz, t, dpre[:, None] * a_d[None, :])
         grads[f"W{h}"] += c["X"].T @ dz
         dX += dz @ layer.params[f"W{h}"].T
     return grads, dX

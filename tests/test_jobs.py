@@ -61,6 +61,12 @@ def test_table4(spark, tmp_path, capsys):
     for r in rows:
         for col in ("pyg_sim", "dgl_sim", "agl_base", "agl_pruning", "agl_partition", "agl_both"):
             assert r[col] > 0
+    speedups = table4_training_efficiency.pruning_speedups(rows)
+    assert [(s["model"], s["layers"]) for s in speedups] == [(r["model"], r["layers"]) for r in rows]
+    for s in speedups:
+        for col in ("pruning_x", "pruning_x_paper", "pruning_on_partition_x", "pruning_on_partition_x_paper"):
+            assert s[col] > 0
+    assert "pruning speedup, measured vs paper" in capsys.readouterr().out
 
 
 @pytest.mark.slow

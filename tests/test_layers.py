@@ -8,7 +8,7 @@ import pytest
 from repro.core.vectorize import BatchGraph
 from repro.nn.aggregators import Aggregator
 from repro.nn.edges import Edges
-from repro.nn.layers import DenseLayer, GATLayer, GCNLayer, SAGELayer
+from repro.nn.layers import DenseLayer, GATLayer, GCNLayer, SAGELayer, _act
 from tests.nn_utils import (
     gat_backward_edgewise, layer_gradcheck, partitions, random_edges, run_callers,
 )
@@ -140,6 +140,14 @@ def test_gcn_output_bounded_when_in_weights_cancel_the_self_loop():
     np.testing.assert_allclose(H[1], (X[1] - X[0]) @ lyr.params["W"] / 2 + lyr.params["b"])
 
 
+def test_elu_does_not_overflow_on_large_inputs():
+    """ELU takes ``expm1`` of its non-positive inputs only: a large
+    positive pre-activation passes through with no overflow."""
+    with np.errstate(over="raise"):
+        out = _act("elu", np.array([1000.0, -1.0, 0.0]))
+    np.testing.assert_array_equal(out, [1000.0, np.expm1(-1.0), 0.0])
+
+
 # ---------- gradient checks ----------
 GRADCHECK_LAYERS = pytest.mark.parametrize(
     "layer_fn",
@@ -181,11 +189,30 @@ def test_layer_gradcheck_signed_weights(layer_fn, kind):
         layer_gradcheck(lyr, _X(6, 3, seed=13), e, tol=2e-4)
 
 
-def _oracle_adjacency(which: str) -> Edges:
-    """9 nodes with self-loops: duplicate edges 1→0 and 3→2, node 8
-    isolated, node 7 with no out-edge. ``pruned-l1`` is the layer-1
-    adjacency of a 2-layer pruned batch with targets 0 and 7, so most
-    nodes have no in-edge at all."""
+@pytest.mark.parametrize("which", ["pruned-l0", "pruned-l1"])
+@pytest.mark.parametrize("kind", ["add_at", "partitioned"])
+@GRADCHECK_LAYERS
+def test_layer_gradcheck_pruned_block(layer_fn, kind, which):
+    """The gradcheck on a pruned block: the layer reads ``n_src`` rows and
+    returns only its ``n_nodes`` destination rows. With zero biases a
+    pre-activation is odd in ``X``, so a row ReLU zeroes for ``X`` is
+    live for ``−X``."""
+    lyr = layer_fn()
+    lyr.agg = Aggregator(kind=kind)
+    e = _oracle_adjacency(which, self_loops=lyr.self_loops)
+    assert e.n_nodes < e.n_src
+    for X in (_X(e.n_src, 3, seed=23), -_X(e.n_src, 3, seed=23)):
+        assert lyr.forward(X, e).shape[0] == e.n_nodes
+        with partitions(3):
+            layer_gradcheck(lyr, X, e, tol=2e-4)
+
+
+def _oracle_adjacency(which: str, self_loops: bool = True) -> Edges:
+    """9 nodes: duplicate edges 1→0 and 3→2, node 8 isolated, node 7 with
+    no out-edge. ``full`` is layer 1 of the unpruned batch. ``pruned-l0``
+    and ``pruned-l1`` are the blocks of a 2-layer pruned batch with
+    targets 0 and 7: 9 source rows into the 6 with dist ≤ 1, then those
+    6 into the 2 targets."""
     src = [1, 1, 2, 3, 3, 0, 4, 5, 6, 0, 5, 2, 4]
     dst = [0, 0, 1, 2, 2, 3, 3, 4, 5, 7, 7, 6, 0]
     e = Edges.from_arrays(src, dst, None, 9)
@@ -194,24 +221,25 @@ def _oracle_adjacency(which: str) -> Edges:
         node_ids=np.arange(9), X=_X(9, 5), dists=dists, e_src=e.src, e_dst=e.dst,
         e_w=e.w, target_idx=np.array([0, 7]), labels=np.zeros((2, 1)),
     )
-    adj = bg.adj_list(2, self_loops=True, pruning=(which == "pruned-l1"))
-    return adj[1]
+    adj = bg.adj_list(2, self_loops=self_loops, pruning=which != "full")
+    return adj[0] if which == "pruned-l0" else adj[1]
 
 
 @pytest.mark.parametrize("concurrent", [False, True])
 @pytest.mark.parametrize("kind", ["add_at", "partitioned"])
-@pytest.mark.parametrize("which", ["full", "pruned-l1"])
+@pytest.mark.parametrize("which", ["full", "pruned-l0", "pruned-l1"])
 def test_gat_backward_matches_edgewise_oracle(which, kind, concurrent):
     """The factored GAT backward (score gradients through per-node sums)
-    equals the edge-wise reference in every grad and in dX, also when
+    equals the edge-wise reference in every grad and in dX, also on
+    pruned blocks whose source and destination rows differ, and when
     layers with different inputs overlap on the shared kernel pool."""
     e = _oracle_adjacency(which)
 
     def check(i):
         lyr = GATLayer(5, 3, n_heads=2, act="elu", seed=17 + 100 * i)
         lyr.agg = Aggregator(kind=kind)
-        X = _X(9, 5, seed=18 + 100 * i)
-        R = np.random.default_rng(19 + 100 * i).standard_normal((9, 6))
+        X = _X(e.n_src, 5, seed=18 + 100 * i)
+        R = np.random.default_rng(19 + 100 * i).standard_normal((e.n_nodes, 6))
         lyr.zero_grad()
         lyr.forward(X, e)
         dX = lyr.backward(R)

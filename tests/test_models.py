@@ -65,6 +65,20 @@ def test_full_model_gradcheck(kind, task):
 
 
 @pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
+def test_gradcheck_with_a_repeated_target(kind):
+    """A batch may hold two records of one root, so a target row repeats:
+    both logits count in the loss, and both gradients reach the layers."""
+    m = GNNModel(kind, 4, 3, 1, 2, "binary", seed=2)
+    X, e, _ = _inputs(kind, seed=3)
+    tgt, labels = np.array([0, 3, 0]), np.array([[1.0], [0.0], [0.0]])
+    m.zero_grad()
+    m.loss_and_grad(X, [e, e], tgt, labels)
+    name = {"gcn": "l0/W", "sage": "l0/Wself", "gat": "l0/W0"}[kind]
+    num = numerical_grad(lambda: m.loss_fn(m.forward(X, [e, e], tgt), labels)[0], m.get_params()[name])
+    np.testing.assert_allclose(m.get_grads()[name], num, rtol=2e-4, atol=2e-6)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
 def test_slices_structure(kind):
     m = GNNModel(kind, 4, 5, 2, 3, "binary", seed=5)
     slices = m.to_slices()

@@ -51,16 +51,21 @@ def _local_reference(strings, cfg, d_in, params):
 @pytest.mark.parametrize("n_workers", [1, 2, 4, 7])
 def test_distributed_gradient_equals_local(spark, gf_strings, n_workers):
     """Σ over any partitioning of the records gives the same gradient —
-    the property that lets AGL train on a plain PS with data parallel."""
+    the property that lets AGL train on a plain PS with data parallel.
+    GAT and SAGE run pruned, so the workers' node-pruned backward is
+    checked against the unpruned local gradient."""
     ds, gf = gf_strings
-    cfg = _cfg()
-    params = cfg.build_model(ds.feat_dim).get_params()
     strings = sorted(r["gf"] for r in gf.collect())
-    ref_g, ref_loss = _local_reference(strings, cfg, ds.feat_dim, params)
-    got_g, got_loss = distributed_gradient(gf, cfg, ds.feat_dim, params, n_workers)
-    np.testing.assert_allclose(got_loss, ref_loss, rtol=1e-9)
-    for k in ref_g:
-        np.testing.assert_allclose(got_g[k], ref_g[k], rtol=1e-7, atol=1e-10, err_msg=k)
+    for kind in ("gcn", "gat", "sage"):
+        cfg = replace(_cfg(), kind=kind)
+        params = cfg.build_model(ds.feat_dim).get_params()
+        ref_g, ref_loss = _local_reference(strings, cfg, ds.feat_dim, params)
+        if kind != "gcn":
+            cfg = replace(cfg, pruning=True)
+        got_g, got_loss = distributed_gradient(gf, cfg, ds.feat_dim, params, n_workers)
+        np.testing.assert_allclose(got_loss, ref_loss, rtol=1e-9, err_msg=kind)
+        for k in ref_g:
+            np.testing.assert_allclose(got_g[k], ref_g[k], rtol=1e-7, atol=1e-10, err_msg=f"{kind} {k}")
 
 
 def _persistent_rdds(sc) -> int:

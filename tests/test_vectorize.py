@@ -179,6 +179,35 @@ def test_pruning_preserves_target_logits(uug_gfs, spark, kind, k):
         np.testing.assert_allclose(out_pruned, out_plain, rtol=1e-10, atol=1e-10)
 
 
+@pytest.fixture(scope="module")
+def records_by_depth(uug_gfs, spark):
+    ds, _ = uug_gfs
+    nodes_df, edges_df = ds.to_spark(spark)
+    targets = spark.createDataFrame(pd.DataFrame({"id": ds.split_ids("train")[:8]}))
+    return {k: collect_records(build_graph_features(nodes_df, edges_df, targets, k)) for k in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pruned_layers_return_only_the_rows_read_next(uug_gfs, records_by_depth, kind, k):
+    """Node pruning: on merged records, pruned layer i returns exactly the
+    rows with dist ≤ K−1−i, the next layer's input, and the last layer
+    only the targets' rows."""
+    ds, _ = uug_gfs
+    bg = merge_batch(records_by_depth[k])
+    adj = bg.adj_list(k, self_loops=NEEDS_SELF_LOOPS[kind], pruning=True)
+    model = GNNModel(kind, ds.feat_dim, 6, 1, k, "binary", seed=4)
+    H, rows = bg.X, np.arange(bg.n_nodes)  # the batch rows H holds
+    for i, (lyr, e) in enumerate(zip(model.layers, adj)):
+        assert e.n_src == rows.size == H.shape[0]
+        H = lyr.forward(H, e)
+        rows = e.at_dst(rows)
+        np.testing.assert_array_equal(rows, np.flatnonzero(bg.dists <= k - 1 - i))
+        assert H.shape[0] == e.n_nodes == rows.size
+    np.testing.assert_array_equal(rows, np.unique(bg.target_idx))
+    assert rows.size < bg.n_nodes
+
+
 def test_pruning_reduces_edge_count(uug_gfs):
     ds, recs = uug_gfs
     bg = merge_batch(recs)
