@@ -14,9 +14,9 @@ shrinks by one hop per layer, Eq. 3), and only those nodes' outputs.
 ``adj_list`` materialises the per-layer pruned adjacencies ``A_B^(k)``
 as bipartite blocks, so layer k computes only the rows layer k+1 reads
 and the last layer only the targets. A test asserts target logits agree
-with and without pruning to 1e-10: the same sums over the same edges,
-but BLAS over fewer rows may round the last bit differently (the
-paper's correctness argument for the strategy).
+with and without pruning to 1e-10 (the paper's correctness argument for
+the strategy): the same sums over the same edges, but BLAS over fewer
+rows may round the last bit differently.
 """
 from __future__ import annotations
 
